@@ -229,6 +229,19 @@ class Form:
     def power(self, exponent: int, geom: ProductGeometry | None = None) -> "Form":
         if exponent < 0:
             raise ValueError("negative exponent")
+        if exponent and len(self.terms) == 1:
+            [(mono, scalar)] = self.terms.items()
+            if len(scalar.terms) == 1:
+                # one word with a one-term coefficient: exponent arithmetic
+                if exponent > 1 and (mono.e1 or mono.e2):
+                    return Form.zero()
+                mono = Monomial(mono.e1, mono.e2, mono.p * exponent, mono.q * exponent)
+                if geom is not None and not geom.admits(mono):
+                    return Form.zero()
+                [(exps, coeff)] = scalar.terms.items()
+                return Form.monomial(
+                    mono, Scalar({tuple(e * exponent for e in exps): coeff**exponent})
+                )
         out = Form.one()
         for _ in range(exponent):
             out = out.wedge(self, geom)

@@ -22,11 +22,23 @@ conditions checked downstream are cast as single tensors:
     skt        d d_c Omega
     astheno    d d_c Omega^(m-2)
     gauduchon  d d_c Omega^(m-1)
+
+The powers of Omega come in closed form rather than from repeated wedges:
+eta1 /\ eta2 is even and squares to zero and Phi1, Phi2 are central, so
+
+    Omega^k = sum_p C(k,p) Phi1^p Phi2^(k-p)
+              - 2k sum_p C(k-1,p) eta1 /\ eta2 /\ Phi1^p Phi2^(k-1-p)
+
+and truncation only bounds p.  A condition tensor thus costs O(m) word
+builds and a few d and J passes over forms of about five terms.  The audit
+still builds Omega^k with ``Form.power``, an independent check of this
+formula.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import comb
 
 from .algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeometry
 from .scalars import A1, A2, B1, B2, Scalar
@@ -133,6 +145,24 @@ def kahler_form() -> Form:
     return PHI1 + PHI2 - 2 * ETA1.wedge(ETA2)
 
 
+def _kahler_power(k: int, geom: ProductGeometry | None = None) -> Form:
+    """Omega^k from the closed form above; equals kahler_form().power(k, geom)."""
+    truncate = geom is not None and geom.truncate
+    terms: dict[Monomial, Scalar] = {}
+    # (eta exponent, Phi degree n, scale): Phi1^p Phi2^(n-p) gets scale * C(n, p)
+    for eta, n, scale in ((0, k, 1), (1, k - 1, -2 * k)):
+        if n < 0:
+            continue
+        lo, hi = (max(0, n - geom.m2), min(n, geom.m1)) if truncate else (0, n)
+        coeff = scale * comb(n, lo)
+        for p in range(lo, hi + 1):
+            terms[Monomial(eta, eta, p, n - p)] = Scalar.rational(coeff)
+            coeff = coeff * (n - p) // (p + 1)
+    result = Form.__new__(Form)
+    result.terms = terms
+    return result
+
+
 def _ddc(form: Form, convention: Convention, geom: ProductGeometry | None) -> Form:
     return exterior_d(d_c(form, convention, geom), convention, geom)
 
@@ -153,7 +183,7 @@ def astheno_expansion(
     dc_omega = d_c(omega, convention, geom)
     ddc_omega = exterior_d(dc_omega, convention, geom)
     bracket = ddc_omega.wedge(omega, geom) + (k - 1) * d_omega.wedge(dc_omega, geom)
-    return (k * bracket).wedge(omega.power(k - 2, geom), geom)
+    return (k * bracket).wedge(_kahler_power(k - 2, geom), geom)
 
 
 def condition_tensor(
@@ -178,7 +208,7 @@ def condition_tensor(
     if kind is Condition.GAUDUCHON:
         if m < 2:
             raise ValueError(f"gauduchon needs m >= 2, got m={m}")
-        return _ddc(omega.power(m - 1, geom), convention, geom)
+        return _ddc(_kahler_power(m - 1, geom), convention, geom)
     if kind is Condition.ASTHENO:
         if m < 3:
             raise ValueError(f"astheno needs m >= 3, got m={m}")
@@ -186,7 +216,7 @@ def condition_tensor(
             return _ddc(omega, convention, geom)
         expanded = astheno_expansion(m - 2, convention, geom)
         if convention is Convention.GRADED:
-            direct = _ddc(omega.power(m - 2, geom), convention, geom)
+            direct = _ddc(_kahler_power(m - 2, geom), convention, geom)
             if direct != expanded:
                 raise InternalInconsistencyError(
                     f"direct and expanded astheno tensors differ at {geom}"

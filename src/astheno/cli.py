@@ -78,6 +78,19 @@ def _positive(text: str) -> int:
     return value
 
 
+# Largest accepted half-dimension.  At the cap the Kahler-power binomials
+# reach C(4095, 2047), about 1230 digits: well inside Python's 4300-digit
+# limit on int-to-str conversion, and an untruncated check still takes seconds.
+MAX_HALF_DIM = 2048
+
+
+def _half_dim(text: str) -> int:
+    value = _positive(text)
+    if value > MAX_HALF_DIM:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_HALF_DIM}, got {value}")
+    return value
+
+
 def _add_format(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--format", choices=("text", "latex", "json"), default="text",
@@ -380,10 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     check = subs.add_parser(
         "check", help="classify one structure pair on one geometry"
     )
-    check.add_argument("--m1", type=_positive, required=True,
-                       help="half-dimension of the first factor (>= 1)")
-    check.add_argument("--m2", type=_positive, required=True,
-                       help="half-dimension of the second factor (>= 1)")
+    check.add_argument("--m1", type=_half_dim, required=True,
+                       help=f"half-dimension of the first factor (1..{MAX_HALF_DIM})")
+    check.add_argument("--m2", type=_half_dim, required=True,
+                       help=f"half-dimension of the second factor (1..{MAX_HALF_DIM})")
     check.add_argument("--factor1", choices=KINDS, required=True)
     check.add_argument("--factor2", choices=KINDS, required=True)
     check.add_argument("--alpha1", type=_fraction, default=None,
@@ -415,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p = subs.add_parser(
         "scan", help="verdict matrix over pure pairs and a geometry range"
     )
-    scan_p.add_argument("--max-m1", type=_positive, default=3)
-    scan_p.add_argument("--max-m2", type=_positive, default=3)
+    scan_p.add_argument("--max-m1", type=_half_dim, default=3)
+    scan_p.add_argument("--max-m2", type=_half_dim, default=3)
     scan_p.add_argument("--condition", choices=[c.value for c in Condition],
                         default="astheno")
     _add_convention(scan_p)
@@ -441,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.add_argument("--apply", action="append", choices=("d", "dc", "j"),
                         help="operator to apply, left to right; repeatable")
     _add_convention(eval_p)
-    eval_p.add_argument("--m1", type=_positive, default=None,
+    eval_p.add_argument("--m1", type=_half_dim, default=None,
                         help="optional geometry for truncation")
-    eval_p.add_argument("--m2", type=_positive, default=None)
+    eval_p.add_argument("--m2", type=_half_dim, default=None)
     eval_p.add_argument("--no-truncate", action="store_true")
     _add_format(eval_p)
     eval_p.set_defaults(run=cmd_eval)
@@ -451,10 +464,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unlink(parser: argparse.ArgumentParser) -> None:
+    """Drop the links from every action back to the parser that holds it.
+
+    Those links make a parser a web of reference cycles that outlives the
+    call until the next full cyclic collection, so a process calling main()
+    in a loop holds many dead parsers.  Unlinked, a parser is freed by
+    reference counting as soon as main() returns.
+    """
+    parsers = [parser]
+    for held in parsers:
+        for action in held._actions:
+            action.container = None
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.run(args, parser)
+    try:
+        args = parser.parse_args(argv)
+        return args.run(args, parser)
+    finally:
+        _unlink(parser)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ Grammar (whitespace insensitive)::
 with params ``a1 b1 a2 b2``, generators ``eta1 eta2 Phi1 Phi2`` and rationals
 ``p/q`` (optional sign, no decimals).  ``*`` and ``/\`` are the same graded
 product; scalars are degree-0 forms, so ``2*b1*a2*Phi2/\Phi1`` parses to the
-canonical ``2*b1*a2*Phi1/\Phi2``.
+canonical ``2*b1*a2*Phi1/\Phi2``.  Parentheses nest at most
+``MAX_NESTING`` deep.
 
 Printing is deterministic (terms ordered by degree then exponent word,
 coefficient monomials by exponent vector) and round-trips exactly:
@@ -120,11 +121,16 @@ def _tokenize(text: str) -> list:
 # ---------------------------------------------------------------------------
 # parser
 
+# parentheses nest by recursion, three frames a level; deeper input is
+# refused with a ParseError rather than left to exhaust the stack
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -179,7 +185,14 @@ class _Parser:
             return self.symbol()
         if tok.kind == "LPAREN":
             open_tok = self.advance()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}",
+                    open_tok.line, open_tok.col,
+                )
             value = self.form()
+            self.depth -= 1
             if self.peek().kind != "RPAREN":
                 raise ParseError(
                     "unbalanced parenthesis", open_tok.line, open_tok.col

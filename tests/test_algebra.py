@@ -1,5 +1,7 @@
 """Graded-commutative algebra laws, truncation, and geometry bookkeeping."""
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from astheno.algebra import (
 )
 from astheno.scalars import A1, Scalar
 
-from conftest import forms, monomials, scalars
+from conftest import exponent_tuples, forms, monomials, nonzero_rationals, scalars
 
 GEOMETRIES = [ProductGeometry(m1, m2) for m1 in (1, 2, 3) for m2 in (1, 2, 3)]
 
@@ -89,6 +91,31 @@ def test_power_matches_repeated_wedge(x, k):
     for _ in range(k):
         expected = expected.wedge(x)
     assert x.power(k) == expected
+
+
+@st.composite
+def words(draw):
+    """One canonical word with a one-term coefficient: power's fast path."""
+    scalar = Scalar({draw(exponent_tuples): draw(nonzero_rationals)})
+    return Form.monomial(draw(monomials(max_pq=2)), scalar)
+
+
+@given(words(), st.integers(0, 6), st.sampled_from([None] + GEOMETRIES))
+def test_word_power_matches_repeated_wedge(x, k, geom):
+    expected = Form.one()
+    for _ in range(k):
+        expected = expected.wedge(x, geom)
+    assert x.power(k, geom) == expected
+
+
+def test_word_power_takes_huge_exponents():
+    n = 10**7
+    start = time.perf_counter()
+    assert PHI1.power(n) == Form.monomial(Monomial(0, 0, n, 0))
+    assert Form.from_scalar(A1).power(n) == Form.from_scalar(Scalar({(n, 0, 0, 0): 1}))
+    assert ETA1.power(n).is_zero
+    assert PHI2.power(n, ProductGeometry(3, 3)).is_zero
+    assert time.perf_counter() - start < 1.0
 
 
 def test_power_rejects_negative():

@@ -10,6 +10,7 @@ from astheno.algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeome
 from astheno.calculus import (
     Condition,
     Convention,
+    _kahler_power,
     astheno_expansion,
     condition_tensor,
     d_c,
@@ -20,6 +21,7 @@ from astheno.calculus import (
 )
 from astheno.scalars import A1, A2, B1, B2
 from astheno import fixtures
+from astheno.exprio import parse
 
 from conftest import forms, monomials, scalars
 
@@ -156,3 +158,83 @@ def test_astheno_ungraded_takes_the_expansion_route():
     geom = ProductGeometry(2, 2).untruncated()
     tensor = condition_tensor(Condition.ASTHENO, geom, Convention.UNGRADED)
     assert tensor == astheno_expansion(geom.m - 2, Convention.UNGRADED, geom)
+
+
+@pytest.mark.parametrize("truncate", (True, False))
+def test_kahler_power_closed_form_matches_repeated_wedge(truncate):
+    omega = kahler_form()
+    for m1 in range(1, 9):
+        for m2 in range(1, 9):
+            geom = ProductGeometry(m1, m2, truncate)
+            for k in range(m1 + m2 + 3):
+                assert _kahler_power(k, geom) == omega.power(k, geom), (geom, k)
+    for k in range(10):
+        assert _kahler_power(k) == omega.power(k), k
+
+
+# printed by the engine that built Omega^k with Form.power, at m1 = m2 = 50
+_TENSORS_AT_50 = {
+    ("skt", "graded"): (
+        r"2*a2^2*Phi2^2 + (2*b1*a2 - 2*a1*b2)*Phi1/\Phi2 + 2*a1^2*Phi1^2"
+        r" + 4*b2^2*eta1/\eta2/\Phi2 + 4*b1^2*eta1/\eta2/\Phi1"
+    ),
+    ("skt", "ungraded"): (
+        r"-2*a2^2*Phi2^2 + (2*b1*a2 - 2*a1*b2)*Phi1/\Phi2 + 2*a1^2*Phi1^2"
+        r" - 4*b2^2*eta1/\eta2/\Phi2 - 4*b1^2*eta1/\eta2/\Phi1"
+    ),
+    ("astheno", "graded"): (
+        r"(4943675882732645473405812365544*a2^2"
+        r" + 5044567227278209666740624862800*b1*a2"
+        r" - 5044567227278209666740624862800*a1*b2"
+        r" + 4943675882732645473405812365544*a1^2)*Phi1^50/\Phi2^50"
+        r" + (504456722727820966674062486280000*b2^2"
+        r" + 494367588273264547340581236554400*b1*a2"
+        r" + 484480236507799256393769611823312*b1^2"
+        r" - 494367588273264547340581236554400*a1*b2)"
+        r"*eta1/\eta2/\Phi1^49/\Phi2^50"
+        r" + (484480236507799256393769611823312*b2^2"
+        r" + 494367588273264547340581236554400*b1*a2"
+        r" + 504456722727820966674062486280000*b1^2"
+        r" - 494367588273264547340581236554400*a1*b2)"
+        r"*eta1/\eta2/\Phi1^50/\Phi2^49"
+    ),
+    ("astheno", "ungraded"): (
+        r"(-4943675882732645473405812365544*a2^2"
+        r" + 5044567227278209666740624862800*b1*a2"
+        r" - 5044567227278209666740624862800*a1*b2"
+        r" + 4943675882732645473405812365544*a1^2)*Phi1^50/\Phi2^50"
+        r" + (484278453818708128007099986828800*b2^2"
+        r" + 988735176546529094681162473108800*a2^2"
+        r" - 1483102764819793642021743709663200*b1*a2"
+        r" + 464705532976868674500146362361136*b1^2"
+        r" - 494367588273264547340581236554400*a1*b2)"
+        r"*eta1/\eta2/\Phi1^49/\Phi2^50"
+        r" + (464705532976868674500146362361136*b2^2"
+        r" + 949185769484667930893915974184448*a2^2"
+        r" - 1483102764819793642021743709663200*b1*a2"
+        r" + 484278453818708128007099986828800*b1^2"
+        r" - 494367588273264547340581236554400*a1*b2)"
+        r"*eta1/\eta2/\Phi1^50/\Phi2^49"
+    ),
+    ("gauduchon", "graded"): (
+        r"(1008913445455641933348124972560000*b2^2"
+        r" + 1008913445455641933348124972560000*b1*a2"
+        r" + 1008913445455641933348124972560000*b1^2"
+        r" - 1008913445455641933348124972560000*a1*b2)"
+        r"*eta1/\eta2/\Phi1^50/\Phi2^50"
+    ),
+    ("gauduchon", "ungraded"): (
+        r"(-1008913445455641933348124972560000*b2^2"
+        r" + 1008913445455641933348124972560000*b1*a2"
+        r" - 1008913445455641933348124972560000*b1^2"
+        r" + 1008913445455641933348124972560000*a1*b2)"
+        r"*eta1/\eta2/\Phi1^50/\Phi2^50"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, convention", sorted(_TENSORS_AT_50))
+def test_condition_tensors_at_fifty(kind, convention):
+    geom = ProductGeometry(50, 50)
+    expected = parse(_TENSORS_AT_50[kind, convention])
+    assert condition_tensor(kind, geom, convention) == expected

@@ -1,10 +1,12 @@
 """End-to-end command behaviour: flags, exit codes, formats."""
 
 import json
+import time
 
 import pytest
 
-from astheno.cli import main
+from astheno.cli import MAX_HALF_DIM, main
+from astheno.exprio import MAX_NESTING
 from astheno.exprio import from_record, parse
 
 
@@ -48,6 +50,36 @@ def test_check_rejects_bad_geometry(capsys):
         "--factor1", "sasakian", "--factor2", "sasakian",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", ((), ("--no-truncate",)), ids=("truncated", "free"))
+def test_check_at_the_half_dimension_cap(capsys, flags):
+    # the untruncated tensor has ~8000 terms with ~1230-digit coefficients
+    cap = str(MAX_HALF_DIM)
+    start = time.perf_counter()
+    code, out = run(capsys, "check", "--m1", cap, "--m2", cap,
+                    "--factor1", "sasakian", "--factor2", "kenmotsu", *flags)
+    assert time.perf_counter() - start < 60
+    assert code == 1
+    assert "verdict: nonzero" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--m1", "{over}", "--m2", "1",
+         "--factor1", "sasakian", "--factor2", "kenmotsu"),
+        ("check", "--m1", "1", "--m2", "{over}",
+         "--factor1", "sasakian", "--factor2", "kenmotsu"),
+        ("scan", "--max-m1", "{over}"),
+        ("scan", "--max-m2", "{over}"),
+        ("eval", "--expr", "eta1", "--m1", "{over}", "--m2", "1"),
+        ("eval", "--expr", "eta1", "--m1", "1", "--m2", "{over}"),
+    ],
+)
+def test_half_dimensions_above_the_cap_are_usage_errors(capsys, argv):
+    over = str(MAX_HALF_DIM + 1)
+    assert run_usage_error(capsys, *(a.format(over=over) for a in argv)) == 2
 
 
 def test_check_rejects_contradictory_pin(capsys):
@@ -191,6 +223,14 @@ def test_eval_parse_error(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "parse error" in captured.err
+
+
+def test_eval_deep_nesting_is_a_parse_error(capsys):
+    for depth in (MAX_NESTING + 1, 3000):
+        code = main(["eval", "--expr", "(" * depth + "eta1" + ")" * depth])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "nested deeper" in captured.err
 
 
 def test_eval_latex(capsys):

@@ -1,6 +1,7 @@
 """Parser, printers, and the JSON record codec."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from astheno.algebra import ETA1, Form, Monomial
 from astheno.audit import random_form
 from astheno.exprio import (
+    MAX_NESTING,
     ParseError,
     RecordError,
     from_record,
@@ -99,6 +101,23 @@ def test_print_latex_golden():
 def test_parse_rejects_bad_text(text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_parse_takes_huge_exponents():
+    n = 9999999
+    start = time.perf_counter()
+    assert parse(f"Phi1^{n}") == Form.monomial(Monomial(0, 0, n, 0))
+    assert parse(f"a1^{n}") == Form.from_scalar(Scalar({(n, 0, 0, 0): 1}))
+    assert parse(f"eta2^{n}").is_zero
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_limits_nesting():
+    deepest = "(" * MAX_NESTING + "eta1" + ")" * MAX_NESTING
+    assert parse(deepest) == ETA1
+    with pytest.raises(ParseError) as info:
+        parse("(" + deepest + ")")
+    assert info.value.col == 1 + MAX_NESTING
 
 
 def test_parse_error_carries_position():
