@@ -70,18 +70,11 @@ class ProductGeometry:
     def m(self) -> int:
         return self.m1 + self.m2 + 1
 
-    @property
-    def factor_dims(self) -> tuple:
-        return (2 * self.m1 + 1, 2 * self.m2 + 1)
-
     def admits(self, mono: Monomial) -> bool:
         return not self.truncate or (mono.p <= self.m1 and mono.q <= self.m2)
 
     def untruncated(self) -> "ProductGeometry":
         return replace(self, truncate=False)
-
-    def truncated(self) -> "ProductGeometry":
-        return replace(self, truncate=True)
 
 
 def _coerce(value: ScalarLike) -> Scalar:
@@ -143,13 +136,6 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         return self.terms == other.terms
-
-    def degrees(self) -> frozenset:
-        return frozenset(m.degree() for m in self.terms)
-
-    def homogeneous_degree(self) -> int | None:
-        degs = self.degrees()
-        return next(iter(degs)) if len(degs) == 1 else None
 
     def params_present(self) -> frozenset:
         out: frozenset = frozenset()
@@ -272,9 +258,6 @@ class Form:
 
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Form":
         return self.map_scalars(lambda s: s.substitute(assign))
-
-    def scale_params(self, lam: RationalLike) -> "Form":
-        return self.map_scalars(lambda s: s.scale_params(lam))
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -226,24 +226,31 @@ def condition_tensor(
     raise ValueError(f"unknown condition {kind!r}")
 
 
+def _displays(convention: Convention) -> dict:
+    """The five low-order displays, untruncated, keyed as in fixtures.EQUATION_NAMES."""
+    omega = kahler_form()
+    d_omega = exterior_d(omega, convention)
+    dc_omega = d_c(omega, convention)
+    ddc_omega = exterior_d(dc_omega, convention)
+    return {
+        "d_omega": d_omega,
+        "dc_omega": dc_omega,
+        "ddc_omega": ddc_omega,
+        "d_wedge_dc": d_omega.wedge(dc_omega),
+        "ddc_wedge_omega": ddc_omega.wedge(omega),
+    }
+
+
 def wedge_identity_check(convention: Convention = Convention.GRADED):
     r"""Diff engine values of d Omega /\ d_c Omega and d d_c Omega /\ Omega
     against their transcribed closed forms.  Returns a list of
     (name, matched, diff) with diff = fixture - engine, computed untruncated.
     """
-    convention = Convention(convention)
     from . import fixtures  # local import: fixtures sits above calculus
 
-    omega = kahler_form()
-    d_omega = exterior_d(omega, convention)
-    dc_omega = d_c(omega, convention)
-    engine = {
-        "d_wedge_dc": d_omega.wedge(dc_omega),
-        "ddc_wedge_omega": exterior_d(dc_omega, convention).wedge(omega),
-    }
+    displays = _displays(Convention(convention))
     report = []
-    for name, value in engine.items():
-        expected = fixtures.equation_form(name)
-        diff = expected - value
+    for name in ("d_wedge_dc", "ddc_wedge_omega"):
+        diff = fixtures.equation_form(name) - displays[name]
         report.append((name, diff.is_zero, diff))
     return report

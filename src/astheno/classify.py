@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import fixtures
 from .algebra import Form, ProductGeometry
 from .calculus import Condition, Convention, condition_tensor
-from .scalars import PARAMS, Scalar
+from .scalars import PARAMS
 
 PURE_KINDS = ("sasakian", "kenmotsu", "cosymplectic")
 KINDS = PURE_KINDS + ("trans-sasakian",)
@@ -105,44 +104,35 @@ def pure_pair(kind1: str, kind2: str) -> StructurePair:
     return StructurePair(FactorStructure(kind1), FactorStructure(kind2))
 
 
+@dataclass(frozen=True)
 class Relation:
-    """One linear constraint on the parameters, applied scalar by scalar."""
+    """One linear constraint on the parameters: src = 0 when dst is None,
+    else src = sign*dst.  Applied scalar by scalar."""
 
-    __slots__ = ("label", "params", "_fn")
+    label: str
+    src: str
+    dst: str | None = None
+    sign: int = 1
 
-    def __init__(self, label: str, params: frozenset, fn: Callable[[Scalar], Scalar]):
-        self.label = label
-        self.params = params
-        self._fn = fn
+    @property
+    def params(self) -> frozenset:
+        return frozenset((self.src,) if self.dst is None else (self.src, self.dst))
 
     def apply(self, form: Form) -> Form:
-        return form.map_scalars(self._fn)
-
-    def __repr__(self) -> str:
-        return f"Relation({self.label})"
-
-
-def _zero_relation(param: str) -> Relation:
-    return Relation(f"{param}=0", frozenset((param,)), lambda s, _p=param: s.substitute({_p: 0}))
-
-
-def _tie_relation(src: str, dst: str, sign: int) -> Relation:
-    head = "-" if sign < 0 else ""
-    return Relation(
-        f"{src}={head}{dst}",
-        frozenset((src, dst)),
-        lambda s, _s=src, _d=dst, _g=sign: s.identify(_s, _d, _g),
-    )
+        if self.dst is None:
+            pin = {self.src: 0}
+            return form.map_scalars(lambda s: s.substitute(pin))
+        return form.map_scalars(lambda s: s.identify(self.src, self.dst, self.sign))
 
 
 def candidate_relations(residual: Form, forbidden: frozenset = frozenset()) -> tuple:
     """Zero pins for the parameters present, then the proportionality ties."""
     present = residual.params_present()
-    rels = [_zero_relation(p) for p in PARAMS if p in present and p not in forbidden]
+    rels = [Relation(f"{p}=0", p) for p in PARAMS if p in present and p not in forbidden]
     for src, dst in (("a1", "a2"), ("b1", "b2")):
         if src in present and dst in present:
-            rels.append(_tie_relation(src, dst, 1))
-            rels.append(_tie_relation(src, dst, -1))
+            rels.append(Relation(f"{src}={dst}", src, dst, 1))
+            rels.append(Relation(f"{src}=-{dst}", src, dst, -1))
     return tuple(rels)
 
 
@@ -190,12 +180,23 @@ def analyze_residual(
     return VanishingAnalysis(tuple(singles), tuple(pairs))
 
 
-def _verdict(residual: Form, forbidden: frozenset, ring_reduce: bool):
-    if residual.is_zero:
-        return VERDICT_ZERO, VanishingAnalysis((), ())
-    analysis = analyze_residual(residual, forbidden, ring_reduce)
-    verdict = VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO
-    return verdict, analysis
+def _verdicts(tensor: Form, pairs, ring_reduce: bool):
+    """Reduce the tensor once, then per pair substitute the pins and judge the
+    residual: yields (residual, verdict, analysis).
+
+    Ring reduction runs before the numeric pins so the quotient by the
+    integrability ideal wins over a contradictory pin.
+    """
+    if ring_reduce:
+        tensor = tensor.reduce()
+    for pair in pairs:
+        residual = tensor.substitute(pair.assignment())
+        if residual.is_zero:
+            yield residual, VERDICT_ZERO, VanishingAnalysis((), ())
+            continue
+        analysis = analyze_residual(residual, pair.forbidden_zero_params(), ring_reduce)
+        verdict = VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO
+        yield residual, verdict, analysis
 
 
 @dataclass(frozen=True)
@@ -225,18 +226,11 @@ def classify(
     convention: Convention | str = Convention.GRADED,
     ring_reduce: bool = True,
 ) -> ClassificationReport:
-    """Verdict on the named vanishing condition for one structured product.
-
-    Ring reduction runs before the numeric pins so the quotient by the
-    integrability ideal wins over a contradictory pin.
-    """
+    """Verdict on the named vanishing condition for one structured product."""
     condition = Condition(condition)
     convention = Convention(convention)
     tensor = condition_tensor(condition, geom, convention)
-    if ring_reduce:
-        tensor = tensor.reduce()
-    residual = tensor.substitute(pair.assignment())
-    verdict, analysis = _verdict(residual, pair.forbidden_zero_params(), ring_reduce)
+    [(residual, verdict, analysis)] = _verdicts(tensor, (pair,), ring_reduce)
     return ClassificationReport(
         condition=condition,
         geometry=geom,
@@ -247,15 +241,6 @@ def classify(
         verdict=verdict,
         analysis=analysis,
     )
-
-
-ROW_STATUSES = (
-    "exact",
-    "modulo-truncation",
-    "modulo-convention",
-    "modulo-convention-truncation",
-    "discrepancy",
-)
 
 
 @dataclass(frozen=True)
@@ -428,23 +413,20 @@ def scan(
     """
     condition = Condition(condition)
     convention = Convention(convention)
+    pairs = [pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
     cells = []
     for m1 in range(1, max_m1 + 1):
         for m2 in range(1, max_m2 + 1):
-            geom = ProductGeometry(m1, m2)
-            tensor = condition_tensor(condition, geom, convention)
-            if ring_reduce:
-                tensor = tensor.reduce()
-            for kind1 in PURE_KINDS:
-                for kind2 in PURE_KINDS:
-                    pair = pure_pair(kind1, kind2)
-                    residual = tensor.substitute(pair.assignment())
-                    verdict, analysis = _verdict(
-                        residual, pair.forbidden_zero_params(), ring_reduce
+            tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
+            for pair, (_, verdict, analysis) in zip(
+                pairs, _verdicts(tensor, pairs, ring_reduce)
+            ):
+                cells.append(
+                    ScanCell(
+                        m1, m2, pair.factor1.kind, pair.factor2.kind,
+                        verdict, analysis.annihilating,
                     )
-                    cells.append(
-                        ScanCell(m1, m2, kind1, kind2, verdict, analysis.annihilating)
-                    )
+                )
     cells = tuple(cells)
     if condition is Condition.ASTHENO:
         propositions = (_cosymplectic_only(cells), _unit_sasakian_cosymplectic(cells))

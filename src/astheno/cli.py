@@ -5,7 +5,8 @@ reproduces one bundled reference table, ``scan`` sweeps the pure pairs over
 a geometry range, ``verify`` runs the full self-audit, and ``eval`` applies
 operator chains to ad-hoc expressions.
 
-Exit codes: 0 pass/zero, 1 nonzero/diff, 2 usage.  Reports go to stdout,
+Exit codes: 0 pass/zero, 1 nonzero/diff, 2 usage (also a result with an
+integer too long to print).  Reports go to stdout,
 diagnostics to stderr.  Output is deterministic; ANSI color is opt-in via
 the environment variable ASTHENO_COLOR (on/off, default off).
 """
@@ -485,6 +486,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.run(args, parser)
+    except ValueError as exc:
+        # a result with an integer past the interpreter's int-to-str digit
+        # limit; the limit stays, since that conversion is quadratic
+        if "integer string conversion" not in str(exc):
+            raise
+        print("error: result too long to print (an integer passes the interpreter's "
+              "digit limit)", file=sys.stderr)
+        return EXIT_USAGE
     finally:
         _unlink(parser)
 

@@ -69,6 +69,10 @@ _SINGLE = {
 }
 
 
+# ASCII only: str.isdigit() also admits superscripts and other scripts' digits
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list:
     tokens = []
     i, line, col = 0, 1, 1
@@ -84,9 +88,9 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(_Token("NUMBER", text[start:i], line, col))
             col += i - start
@@ -201,13 +205,20 @@ class _Parser:
             return value
         self.fail("expected a rational, parameter, generator or '('")
 
+    def number(self, message: str) -> int:
+        tok = self.expect("NUMBER", message)
+        try:
+            return int(tok.text)
+        except ValueError:
+            # past the interpreter's limit on int-from-str digits
+            raise ParseError("number too long", tok.line, tok.col) from None
+
     def rational(self, sign: int) -> Form:
-        num = int(self.expect("NUMBER", "expected a number").text)
+        num = self.number("expected a number")
         value = Fraction(sign * num)
         if self.peek().kind == "SLASH":
             slash = self.advance()
-            den_tok = self.expect("NUMBER", "expected a denominator")
-            den = int(den_tok.text)
+            den = self.number("expected a denominator")
             if den == 0:
                 raise ParseError("zero denominator", slash.line, slash.col)
             value = Fraction(sign * num, den)
@@ -226,8 +237,7 @@ class _Parser:
             caret = self.advance()
             if self.peek().kind == "MINUS":
                 raise ParseError("negative exponent", caret.line, caret.col)
-            exp_tok = self.expect("NUMBER", "expected an exponent")
-            base = base.power(int(exp_tok.text))
+            base = base.power(self.number("expected an exponent"))
         return base
 
 
@@ -244,14 +254,18 @@ def _sorted_monomials(form: Form) -> list:
     return sorted(form.terms, key=lambda m: (m.degree(), m))
 
 
-def _rational_text(value: Fraction) -> str:
-    return str(value)
+def _join_signed(entries: list) -> str:
+    """Join rendered terms with + and -, folding a leading minus into the operator."""
+    out = entries[0]
+    for entry in entries[1:]:
+        out += f" - {entry[1:]}" if entry.startswith("-") else f" + {entry}"
+    return out
 
 
 def _scalar_term_text(exps, coeff: Fraction) -> str:
     parts = []
     if coeff != 1 or not any(exps):
-        parts.append(_rational_text(coeff))
+        parts.append(str(coeff))
     for name, e in zip(PARAMS, exps):
         if e:
             parts.append(f"{name}^{e}" if e > 1 else name)
@@ -264,13 +278,7 @@ def _scalar_text(scalar: Scalar) -> str:
     ]
     if len(entries) == 1:
         return entries[0]
-    joined = entries[0]
-    for entry in entries[1:]:
-        if entry.startswith("-"):
-            joined += f" - {entry[1:]}"
-        else:
-            joined += f" + {entry}"
-    return f"({joined})"
+    return f"({_join_signed(entries)})"
 
 
 def _monomial_text(mono: Monomial) -> str:
@@ -295,13 +303,7 @@ def print_text(form: Form) -> str:
             rendered.append(mono_str)
         else:
             rendered.append(f"{_scalar_text(scalar)}*{mono_str}")
-    out = rendered[0]
-    for entry in rendered[1:]:
-        if entry.startswith("-"):
-            out += f" - {entry[1:]}"
-        else:
-            out += f" + {entry}"
-    return out
+    return _join_signed(rendered)
 
 
 _PARAM_LATEX = {
@@ -353,10 +355,7 @@ def _scalar_latex(scalar: Scalar) -> str:
     ]
     if len(entries) == 1:
         return entries[0]
-    joined = entries[0]
-    for entry in entries[1:]:
-        joined += f" - {entry[1:]}" if entry.startswith("-") else f" + {entry}"
-    return rf"\left({joined}\right)"
+    return rf"\left({_join_signed(entries)}\right)"
 
 
 def _monomial_latex(mono: Monomial) -> str:
@@ -384,10 +383,7 @@ def print_latex(form: Form) -> str:
             rendered.append(f"-{mono_str}")
         else:
             rendered.append(f"{coeff_str}\\,{mono_str}")
-    out = rendered[0]
-    for entry in rendered[1:]:
-        out += f" - {entry[1:]}" if entry.startswith("-") else f" + {entry}"
-    return out
+    return _join_signed(rendered)
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,6 @@ class TableFixture:
     def geometry(self) -> ProductGeometry:
         return ProductGeometry(self.m1, self.m2)
 
-    def row(self, number: int) -> RowFixture:
-        for entry in self.rows:
-            if entry.row == number:
-                return entry
-        raise KeyError(f"table {self.table_id} has no row {number}")
-
 
 @lru_cache(maxsize=1)
 def _raw() -> dict:

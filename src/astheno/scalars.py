@@ -79,14 +79,6 @@ class Scalar:
             return self == Scalar.rational(other)
         return NotImplemented
 
-    def constant_value(self) -> Fraction | None:
-        """The value of a constant polynomial, or None if non-constant."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) == {_UNIT}:
-            return self.terms[_UNIT]
-        return None
-
     def params_present(self) -> frozenset:
         out = set()
         for exps in self.terms:
@@ -94,9 +86,6 @@ class Scalar:
                 if e:
                     out.add(name)
         return frozenset(out)
-
-    def degrees(self) -> frozenset:
-        return frozenset(sum(exps) for exps in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -157,14 +146,6 @@ class Scalar:
         return result
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Scalar":
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        out = Scalar.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     # -- ring reduction and substitution -----------------------------------
 
@@ -237,15 +218,6 @@ class Scalar:
             total += term
         return total
 
-    def scale_params(self, lam: RationalLike) -> "Scalar":
-        """Substitute lam*param for every parameter simultaneously."""
-        lam = Fraction(lam)
-        result = Scalar.__new__(Scalar)
-        result.terms = {e: c * lam ** sum(e) for e, c in self.terms.items()}
-        if not lam:
-            result.terms = {e: c for e, c in result.terms.items() if c}
-        return result
-
     def __repr__(self) -> str:
         if not self.terms:
             return "Scalar(0)"
@@ -259,7 +231,6 @@ class Scalar:
         return f"Scalar({' + '.join(bits)})"
 
 
-ONE = Scalar.one()
 ZERO = Scalar.zero()
 A1 = Scalar.param("a1")
 B1 = Scalar.param("b1")

@@ -233,6 +233,33 @@ def test_eval_deep_nesting_is_a_parse_error(capsys):
         assert "nested deeper" in captured.err
 
 
+def test_eval_non_ascii_digits_and_long_literals_are_parse_errors(capsys):
+    for text in ("²", "Phi1^²", "1/²", "١", "1" * 5000, "1/" + "1" * 5000,
+                 "Phi1^" + "1" * 5000):
+        code = main(["eval", "--expr", text])
+        captured = capsys.readouterr()
+        assert code == 2, text
+        assert captured.err.startswith("parse error")
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("eval", "--expr", "7" * 4000 + "*" + "7" * 4000),
+        ("check", "--m1", "2", "--m2", "2", "--factor1", "sasakian",
+         "--factor2", "sasakian", "--alpha1", "3" * 3000),
+    ),
+    ids=("eval", "check"),
+)
+def test_result_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
+    code = main([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.count("\n") == 1
+    assert "too long to print" in captured.err
+
+
 def test_eval_latex(capsys):
     code, out = run(capsys, "eval", "--expr", "a1*eta1", "--format", "latex")
     assert out.strip() == r"\alpha_1\,\eta_1"

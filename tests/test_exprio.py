@@ -5,6 +5,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from astheno.algebra import ETA1, Form, Monomial
 from astheno.audit import random_form
@@ -51,7 +52,7 @@ def test_parse_examples():
     assert parse("0").is_zero
     assert parse(r"eta1/\eta1").is_zero
     omega = parse(r"Phi1 + Phi2 - 2*eta1/\eta2")
-    assert omega.homogeneous_degree() == 2
+    assert {m.degree() for m in omega.terms} == {2}
     assert parse("(a1 - b2)*Phi1^2") == parse(r"a1*Phi1/\Phi1 - b2*Phi1^2")
     assert parse("-1/2*eta2") == parse("(-1/2)*eta2")
 
@@ -96,6 +97,13 @@ def test_print_latex_golden():
         r"/\eta1",
         "eta1 @ eta2",
         "-(1/2)*eta2",  # signs belong to rationals, not groups
+        "²",  # digits are ASCII only
+        "Phi1^²",
+        "1/²",
+        "١",
+        pytest.param("1" * 5000, id="long-numerator"),
+        pytest.param("1/" + "1" * 5000, id="long-denominator"),
+        pytest.param("Phi1^" + "1" * 5000, id="long-exponent"),
     ],
 )
 def test_parse_rejects_bad_text(text):
@@ -172,3 +180,60 @@ def test_record_error_reports_path():
     with pytest.raises(RecordError) as info:
         from_record(bad)
     assert "$.terms[0]" in str(info.value)
+
+
+# bounded fuzzing: any text, and any JSON value, ends in a result or the
+# module's own error
+_GRAMMAR_TEXT = st.text(alphabet="0123456789²١ ab12etaPhi+-*/\\^()", max_size=40)
+
+
+@given(st.one_of(st.text(max_size=40), _GRAMMAR_TEXT))
+@settings(max_examples=200)
+def test_parse_is_total(text):
+    try:
+        assert isinstance(parse(text), Form)
+    except ParseError:
+        pass
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a record."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def _mutated_records(draw):
+    record = to_record(draw(forms()))
+    container, key = draw(st.sampled_from(list(_slots(record))))
+    if draw(st.booleans()):
+        container[key] = draw(_JSON)
+    else:
+        del container[key]
+    if isinstance(container, dict) and draw(st.booleans()):
+        container[draw(st.text(max_size=6))] = draw(_JSON)
+    return record
+
+
+@given(st.one_of(_JSON, _mutated_records()))
+@settings(max_examples=200)
+def test_from_record_is_total(value):
+    try:
+        assert isinstance(from_record(value), Form)
+    except RecordError:
+        pass
