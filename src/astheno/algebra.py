@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .scalars import RationalLike, Scalar
+from .scalars import RationalLike, Scalar, _accumulate
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -97,13 +97,15 @@ class Form:
                 mono.validate()
                 scalar = _coerce(coeff)
                 if scalar:
-                    acc = data.get(mono)
-                    scalar = scalar if acc is None else acc + scalar
-                    if scalar:
-                        data[mono] = scalar
-                    else:
-                        data.pop(mono, None)
+                    data[mono] = scalar
         self.terms = data
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Form":
+        """Wrap a dict already in canonical form: Monomial keys, nonzero Scalars."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -150,15 +152,8 @@ class Form:
             return NotImplemented
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = out.get(mono)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff:
-                out[mono] = coeff
-            else:
-                out.pop(mono, None)
-        result = Form.__new__(Form)
-        result.terms = out
-        return result
+            _accumulate(out, mono, coeff)
+        return Form._of(out)
 
     def __sub__(self, other: "Form") -> "Form":
         if not isinstance(other, Form):
@@ -166,22 +161,13 @@ class Form:
         return self + (-other)
 
     def __neg__(self) -> "Form":
-        result = Form.__new__(Form)
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return Form._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, scalar: ScalarLike) -> "Form":
         if isinstance(scalar, Form):
             raise TypeError("use Form.wedge for products of forms")
         scalar = _coerce(scalar)
-        out = {}
-        for mono, coeff in self.terms.items():
-            c = coeff * scalar
-            if c:
-                out[mono] = c
-        result = Form.__new__(Form)
-        result.terms = out
-        return result
+        return self.map_scalars(lambda coeff: coeff * scalar)
 
     __rmul__ = __mul__
 
@@ -202,15 +188,8 @@ class Form:
                 if lhs.e2 and rhs.e1:
                     # eta2 from the left factor crosses eta1 from the right
                     coeff = -coeff
-                acc = out.get(mono)
-                coeff = coeff if acc is None else acc + coeff
-                if coeff:
-                    out[mono] = coeff
-                else:
-                    out.pop(mono, None)
-        result = Form.__new__(Form)
-        result.terms = out
-        return result
+                _accumulate(out, mono, coeff)
+        return Form._of(out)
 
     def power(self, exponent: int, geom: ProductGeometry | None = None) -> "Form":
         if exponent < 0:
@@ -238,9 +217,7 @@ class Form:
     def truncate(self, geom: ProductGeometry) -> "Form":
         if not geom.truncate:
             return self
-        result = Form.__new__(Form)
-        result.terms = {m: c for m, c in self.terms.items() if geom.admits(m)}
-        return result
+        return Form._of({m: c for m, c in self.terms.items() if geom.admits(m)})
 
     def map_scalars(self, fn) -> "Form":
         out = {}
@@ -248,9 +225,7 @@ class Form:
             c = fn(coeff)
             if c:
                 out[mono] = c
-        result = Form.__new__(Form)
-        result.terms = out
-        return result
+        return Form._of(out)
 
     def reduce(self) -> "Form":
         """Apply the a_i*b_i = 0 ring reduction to every coefficient."""

@@ -41,7 +41,7 @@ from enum import Enum
 from math import comb
 
 from .algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeometry
-from .scalars import A1, A2, B1, B2, Scalar
+from .scalars import A1, A2, B1, B2, Scalar, _accumulate
 
 
 class Convention(str, Enum):
@@ -57,15 +57,6 @@ class Condition(str, Enum):
 
 class InternalInconsistencyError(RuntimeError):
     """Two routes to the same tensor disagreed; the engine is broken."""
-
-
-def _accumulate(out: dict, mono: Monomial, coeff: Scalar) -> None:
-    acc = out.get(mono)
-    coeff = coeff if acc is None else acc + coeff
-    if coeff:
-        out[mono] = coeff
-    else:
-        out.pop(mono, None)
 
 
 def exterior_d(
@@ -109,8 +100,7 @@ def exterior_d(
             if graded and a:
                 s = -s
             _accumulate(out, Monomial(a, 1, p, q), s)
-    result = Form.__new__(Form)
-    result.terms = out
+    result = Form._of(out)
     if geom is not None:
         result = result.truncate(geom)
     return result
@@ -127,9 +117,7 @@ def j_action(form: Form) -> Form:
         else:
             # even part, and eta1/\eta2 where the two signs cancel
             _accumulate(out, mono, coeff)
-    result = Form.__new__(Form)
-    result.terms = out
-    return result
+    return Form._of(out)
 
 
 def d_c(
@@ -158,72 +146,11 @@ def _kahler_power(k: int, geom: ProductGeometry | None = None) -> Form:
         for p in range(lo, hi + 1):
             terms[Monomial(eta, eta, p, n - p)] = Scalar.rational(coeff)
             coeff = coeff * (n - p) // (p + 1)
-    result = Form.__new__(Form)
-    result.terms = terms
-    return result
+    return Form._of(terms)
 
 
 def _ddc(form: Form, convention: Convention, geom: ProductGeometry | None) -> Form:
     return exterior_d(d_c(form, convention, geom), convention, geom)
-
-
-def astheno_expansion(
-    k: int, convention: Convention, geom: ProductGeometry | None = None
-) -> Form:
-    r"""k * [d d_c Omega /\ Omega + (k-1) d Omega /\ d_c Omega] /\ Omega^(k-2).
-
-    Closed-form route to d d_c Omega^k; provably equal to the direct value
-    under the graded convention, and the route the reference tables took
-    under the ungraded one.
-    """
-    if k < 2:
-        raise ValueError("expansion defined for k >= 2")
-    omega = kahler_form()
-    d_omega = exterior_d(omega, convention, geom)
-    dc_omega = d_c(omega, convention, geom)
-    ddc_omega = exterior_d(dc_omega, convention, geom)
-    bracket = ddc_omega.wedge(omega, geom) + (k - 1) * d_omega.wedge(dc_omega, geom)
-    return (k * bracket).wedge(_kahler_power(k - 2, geom), geom)
-
-
-def condition_tensor(
-    kind: Condition,
-    geom: ProductGeometry,
-    convention: Convention = Convention.GRADED,
-) -> Form:
-    """The obstruction form whose vanishing defines the named condition.
-
-    For astheno at m >= 4 the direct value and the expansion are both
-    computed; under the graded convention they must agree exactly (anything
-    else is an engine bug), and under the ungraded convention the expansion
-    is returned because the ungraded "rule" is not a derivation, so only the
-    expansion matches the route the reference tables were computed by.
-    """
-    kind = Condition(kind)
-    convention = Convention(convention)
-    m = geom.m
-    omega = kahler_form()
-    if kind is Condition.SKT:
-        return _ddc(omega, convention, geom)
-    if kind is Condition.GAUDUCHON:
-        if m < 2:
-            raise ValueError(f"gauduchon needs m >= 2, got m={m}")
-        return _ddc(_kahler_power(m - 1, geom), convention, geom)
-    if kind is Condition.ASTHENO:
-        if m < 3:
-            raise ValueError(f"astheno needs m >= 3, got m={m}")
-        if m == 3:
-            return _ddc(omega, convention, geom)
-        expanded = astheno_expansion(m - 2, convention, geom)
-        if convention is Convention.GRADED:
-            direct = _ddc(_kahler_power(m - 2, geom), convention, geom)
-            if direct != expanded:
-                raise InternalInconsistencyError(
-                    f"direct and expanded astheno tensors differ at {geom}"
-                )
-            return direct
-        return expanded
-    raise ValueError(f"unknown condition {kind!r}")
 
 
 def _displays(convention: Convention) -> dict:
@@ -239,6 +166,55 @@ def _displays(convention: Convention) -> dict:
         "d_wedge_dc": d_omega.wedge(dc_omega),
         "ddc_wedge_omega": ddc_omega.wedge(omega),
     }
+
+
+def astheno_expansion(
+    k: int, convention: Convention, geom: ProductGeometry | None = None
+) -> Form:
+    r"""k * [d d_c Omega /\ Omega + (k-1) d Omega /\ d_c Omega] /\ Omega^(k-2).
+
+    Closed-form route to d d_c Omega^k; provably equal to the direct value
+    under the graded convention, and the route the reference tables took
+    under the ungraded one.
+    """
+    if k < 2:
+        raise ValueError("expansion defined for k >= 2")
+    # the displays are untruncated; truncating once at the last wedge is the
+    # same, since d and wedge never lower a Phi exponent
+    displays = _displays(convention)
+    bracket = displays["ddc_wedge_omega"] + (k - 1) * displays["d_wedge_dc"]
+    return (k * bracket).wedge(_kahler_power(k - 2, geom), geom)
+
+
+def condition_tensor(
+    kind: Condition,
+    geom: ProductGeometry,
+    convention: Convention = Convention.GRADED,
+) -> Form:
+    """The obstruction form d d_c Omega^k whose vanishing defines the named
+    condition: k = 1 for skt, m - 2 for astheno and m - 1 for gauduchon.
+
+    For astheno with k >= 2 (m >= 4) the direct value and the expansion are
+    both computed; under the graded convention they must agree exactly
+    (anything else is an engine bug), and under the ungraded convention the
+    expansion is returned because the ungraded "rule" is not a derivation, so
+    only the expansion matches the route the reference tables were computed by.
+    """
+    kind = Condition(kind)
+    convention = Convention(convention)
+    m = geom.m
+    k = {Condition.SKT: 1, Condition.ASTHENO: m - 2, Condition.GAUDUCHON: m - 1}[kind]
+    if kind is not Condition.ASTHENO or k < 2:
+        return _ddc(_kahler_power(k, geom), convention, geom)
+    expanded = astheno_expansion(k, convention, geom)
+    if convention is Convention.UNGRADED:
+        return expanded
+    direct = _ddc(_kahler_power(k, geom), convention, geom)
+    if direct != expanded:
+        raise InternalInconsistencyError(
+            f"direct and expanded astheno tensors differ at {geom}"
+        )
+    return direct
 
 
 def wedge_identity_check(convention: Convention = Convention.GRADED):

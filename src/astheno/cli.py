@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -62,11 +63,19 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
+# the rationals the expression grammar reads, with a sign; Fraction(str) alone
+# also takes decimals, exponents (1e10000000 expands for half a minute),
+# underscores, non-ASCII digits and surrounding spaces
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+        pass  # a literal past the interpreter's digit limit, or a zero denominator
+    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
 def _positive(text: str) -> int:
@@ -137,20 +146,14 @@ def _structure(kind: str, alpha, beta, parser, label: str) -> FactorStructure:
 
 
 def cmd_check(args, parser) -> int:
-    try:
-        geom = ProductGeometry(args.m1, args.m2, truncate=not args.no_truncate)
-    except ValueError as exc:
-        parser.error(str(exc))
+    geom = ProductGeometry(args.m1, args.m2, truncate=not args.no_truncate)
     factor1 = _structure(args.factor1, args.alpha1, args.beta1, parser, "factor1")
     factor2 = _structure(args.factor2, args.alpha2, args.beta2, parser, "factor2")
     pair = StructurePair(factor1, factor2)
-    try:
-        report = classify(
-            args.condition, geom, pair,
-            convention=args.convention, ring_reduce=not args.no_ring_reduce,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = classify(
+        args.condition, geom, pair,
+        convention=args.convention, ring_reduce=not args.no_ring_reduce,
+    )
 
     if args.format == "json":
         _emit(
@@ -161,10 +164,8 @@ def cmd_check(args, parser) -> int:
                 "ring_reduce": not args.no_ring_reduce,
                 "geometry": _geometry_payload(geom),
                 "factors": [
-                    {"kind": factor1.kind, "alpha": _frac_str(factor1.alpha),
-                     "beta": _frac_str(factor1.beta)},
-                    {"kind": factor2.kind, "alpha": _frac_str(factor2.alpha),
-                     "beta": _frac_str(factor2.beta)},
+                    {"kind": f.kind, "alpha": _frac_str(f.alpha), "beta": _frac_str(f.beta)}
+                    for f in (factor1, factor2)
                 ],
                 "verdict": report.verdict,
                 "vanishing_conditions": list(report.conditions),
@@ -173,14 +174,19 @@ def cmd_check(args, parser) -> int:
             }
         )
     else:
-        print(_geometry_line(geom))
-        print(f"condition: {args.condition}   convention: {args.convention}")
-        print(f"factors: {factor1.kind} x {factor2.kind}")
-        print("verdict: " + _mark(report.vanishes, report.verdict))
+        # rendered whole before the first write: a residual too long to print
+        # must leave stdout empty, as it does under json
+        lines = [
+            _geometry_line(geom),
+            f"condition: {args.condition}   convention: {args.convention}",
+            f"factors: {factor1.kind} x {factor2.kind}",
+            "verdict: " + _mark(report.vanishes, report.verdict),
+        ]
         if report.conditions:
-            print("vanishes under: " + "; ".join(report.conditions))
+            lines.append("vanishes under: " + "; ".join(report.conditions))
         if not report.residual.is_zero:
-            print(f"residual: {_render(report.residual, args.format)}")
+            lines.append(f"residual: {_render(report.residual, args.format)}")
+        print("\n".join(lines))
     return EXIT_OK if report.vanishes else EXIT_DIFF
 
 
@@ -262,14 +268,11 @@ def cmd_table(args, parser) -> int:
 
 
 def cmd_scan(args, parser) -> int:
-    try:
-        report = scan(
-            max_m1=args.max_m1, max_m2=args.max_m2,
-            condition=args.condition, convention=args.convention,
-            ring_reduce=not args.no_ring_reduce,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = scan(
+        max_m1=args.max_m1, max_m2=args.max_m2,
+        condition=args.condition, convention=args.convention,
+        ring_reduce=not args.no_ring_reduce,
+    )
 
     if args.format == "json":
         _emit(
@@ -352,10 +355,7 @@ def cmd_eval(args, parser) -> int:
     if (args.m1 is None) != (args.m2 is None):
         parser.error("--m1 and --m2 must be given together")
     if args.m1 is not None:
-        try:
-            geom = ProductGeometry(args.m1, args.m2, truncate=not args.no_truncate)
-        except ValueError as exc:
-            parser.error(str(exc))
+        geom = ProductGeometry(args.m1, args.m2, truncate=not args.no_truncate)
     try:
         form = parse(args.expr)
     except ParseError as exc:

@@ -418,13 +418,23 @@ def to_record(form: Form) -> dict:
     return {"terms": terms}
 
 
-def _require_int(value, path: str, minimum: int = 0, maximum: int | None = None) -> int:
+def _show(value) -> str:
+    """repr of a record value for an error message, which must not raise."""
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        # an int past the interpreter's int-to-str digit limit, a container
+        # holding one, or a container nested past the recursion limit
+        return f"<{type(value).__name__} too long to print>"
+
+
+def _require_int(value, path: str, minimum: int | None = 0, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise RecordError(f"expected an integer, got {value!r}", path)
-    if value < minimum:
-        raise RecordError(f"expected >= {minimum}, got {value}", path)
+        raise RecordError(f"expected an integer, got {_show(value)}", path)
+    if minimum is not None and value < minimum:
+        raise RecordError(f"expected >= {minimum}, got {_show(value)}", path)
     if maximum is not None and value > maximum:
-        raise RecordError(f"expected <= {maximum}, got {value}", path)
+        raise RecordError(f"expected <= {maximum}, got {_show(value)}", path)
     return value
 
 
@@ -433,7 +443,8 @@ def _require_keys(obj: dict, keys: set, path: str) -> None:
         raise RecordError(f"expected an object, got {type(obj).__name__}", path)
     extra = set(obj) - keys
     if extra:
-        raise RecordError(f"unknown fields {sorted(extra)}", path)
+        # keys of a record built in Python need not be str, so sort their reprs
+        raise RecordError(f"unknown fields [{', '.join(sorted(map(_show, extra)))}]", path)
     missing = keys - set(obj)
     if missing:
         raise RecordError(f"missing fields {sorted(missing)}", path)
@@ -468,11 +479,10 @@ def from_record(record: dict) -> Form:
             )
             if exps in scalar_terms:
                 raise RecordError("duplicate exponent vector", cpath)
-            if isinstance(entry["num"], bool) or not isinstance(entry["num"], int):
-                raise RecordError(f"expected an integer, got {entry['num']!r}", f"{cpath}.num")
-            if entry["num"] == 0:
+            num = _require_int(entry["num"], f"{cpath}.num", minimum=None)
+            if num == 0:
                 raise RecordError("zero coefficient is not stored", f"{cpath}.num")
             den = _require_int(entry["den"], f"{cpath}.den", minimum=1)
-            scalar_terms[exps] = Fraction(entry["num"], den)
+            scalar_terms[exps] = Fraction(num, den)
         out[mono] = Scalar(scalar_terms)
     return Form(out)

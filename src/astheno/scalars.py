@@ -22,6 +22,21 @@ RationalLike = Union[int, Fraction]
 _UNIT: Exps = (0, 0, 0, 0)
 
 
+def _accumulate(out: dict, key, coeff) -> None:
+    """Add coeff into the sparse dict out at key; a zero sum drops the key.
+
+    The one accumulation step of the engine, shared by Scalar (Fraction
+    coefficients) and Form (Scalar coefficients).  A new key takes coeff as
+    it is, with no addition to a zero.
+    """
+    acc = out.get(key)
+    coeff = coeff if acc is None else acc + coeff
+    if coeff:
+        out[key] = coeff
+    else:
+        out.pop(key, None)
+
+
 def _is_mixed(exps: Exps) -> bool:
     # dropped by ring reduction: mixes a_i with b_i for the same factor
     return bool(exps[0] and exps[1]) or bool(exps[2] and exps[3])
@@ -40,6 +55,13 @@ class Scalar:
                 if c:
                     data[tuple(exps)] = c
         self.terms = data
+
+    @classmethod
+    def _of(cls, terms: dict) -> "Scalar":
+        """Wrap a dict already in canonical form: 4-int tuple keys, nonzero Fractions."""
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
 
     # -- constructors ------------------------------------------------------
 
@@ -96,26 +118,16 @@ class Scalar:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, 0) + coeff
-            if acc:
-                out[exps] = acc
-            else:
-                out.pop(exps, None)
-        result = Scalar.__new__(Scalar)
-        result.terms = out
-        return result
+            _accumulate(out, exps, coeff)
+        return Scalar._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        result = Scalar.__new__(Scalar)
-        result.terms = {exps: -coeff for exps, coeff in self.terms.items()}
-        return result
+        return Scalar._of({exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.rational(other)
-        elif not isinstance(other, Scalar):
+        if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -127,23 +139,15 @@ class Scalar:
             other = Fraction(other)
             if not other:
                 return Scalar.zero()
-            result = Scalar.__new__(Scalar)
-            result.terms = {e: c * other for e, c in self.terms.items()}
-            return result
+            return Scalar._of({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, Scalar):
             return NotImplemented
         out: dict[Exps, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                acc = out.get(exps, 0) + c1 * c2
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
-        result = Scalar.__new__(Scalar)
-        result.terms = out
-        return result
+                _accumulate(out, exps, c1 * c2)
+        return Scalar._of(out)
 
     __rmul__ = __mul__
 
@@ -151,9 +155,7 @@ class Scalar:
 
     def reduce(self) -> "Scalar":
         """Project onto the quotient by (a1*b1, a2*b2)."""
-        result = Scalar.__new__(Scalar)
-        result.terms = {e: c for e, c in self.terms.items() if not _is_mixed(e)}
-        return result
+        return Scalar._of({e: c for e, c in self.terms.items() if not _is_mixed(e)})
 
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Scalar":
         """Partially evaluate: pinned parameters get values, others stay."""
@@ -169,17 +171,8 @@ class Scalar:
                     new_exps[idx] = 0
                     if not coeff:
                         break
-            if not coeff:
-                continue
-            key = tuple(new_exps)
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = Scalar.__new__(Scalar)
-        result.terms = out
-        return result
+            _accumulate(out, tuple(new_exps), coeff)
+        return Scalar._of(out)
 
     def identify(self, src: str, dst: str, sign: int = 1) -> "Scalar":
         """Impose src = sign*dst by eliminating src in favour of dst."""
@@ -193,15 +186,8 @@ class Scalar:
                 coeff = coeff * Fraction(sign) ** exps[si]
                 new_exps[di] += exps[si]
                 new_exps[si] = 0
-            key = tuple(new_exps)
-            acc = out.get(key, 0) + coeff
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        result = Scalar.__new__(Scalar)
-        result.terms = out
-        return result
+            _accumulate(out, tuple(new_exps), coeff)
+        return Scalar._of(out)
 
     def evaluate(self, values: Mapping[str, RationalLike]) -> Fraction:
         """Total evaluation; every parameter that occurs must be given."""

@@ -1,6 +1,7 @@
 """Differential rules, the rotation J, and the condition tensors."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,11 +20,11 @@ from astheno.calculus import (
     kahler_form,
     wedge_identity_check,
 )
-from astheno.scalars import A1, A2, B1, B2
+from astheno.scalars import A1, A2, B1, B2, PARAMS, Scalar
 from astheno import fixtures
 from astheno.exprio import parse
 
-from conftest import forms, monomials, scalars
+from conftest import forms, monomials, param_values, rationals, scalars
 
 
 def test_generator_rules():
@@ -238,3 +239,59 @@ def test_condition_tensors_at_fifty(kind, convention):
     geom = ProductGeometry(50, 50)
     expected = parse(_TENSORS_AT_50[kind, convention])
     assert condition_tensor(kind, geom, convention) == expected
+
+
+# Results built by Scalar._of and Form._of skip the constructors' validation,
+# so every operation must hand them canonical dicts.
+def _assert_canonical_scalar(x):
+    for exps, coeff in x.terms.items():
+        assert type(exps) is tuple and len(exps) == 4
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(coeff) is Fraction and coeff != 0
+
+
+def _assert_canonical(x):
+    if isinstance(x, Scalar):
+        _assert_canonical_scalar(x)
+        return
+    for mono, coeff in x.terms.items():
+        assert type(mono) is Monomial and all(type(e) is int for e in mono)
+        mono.validate()
+        assert isinstance(coeff, Scalar) and coeff
+        _assert_canonical_scalar(coeff)
+
+
+_GEOMETRIES = st.sampled_from(
+    [None] + [ProductGeometry(m1, m2) for m1 in (1, 2) for m2 in (1, 2)]
+)
+
+
+@given(
+    scalars(), scalars(), rationals, param_values, st.sets(st.sampled_from(PARAMS)),
+    st.permutations(PARAMS), st.sampled_from((-1, 0, 1)),
+)
+def test_scalar_results_are_canonical(x, y, c, values, pinned, order, sign):
+    partial = {name: values[name] for name in pinned}
+    for result in (
+        x + y, x - y, x - x, x + c, c - x, -x, x * y, x * c, c * x, x * 0,
+        x.reduce(), x.substitute(partial), x.substitute(values),
+        x.identify(order[0], order[1], sign),
+    ):
+        _assert_canonical(result)
+
+
+@given(
+    forms(max_monos=3, max_pq=2), forms(max_monos=3, max_pq=2), scalars(),
+    st.integers(0, 3), _GEOMETRIES, param_values, st.sampled_from(list(Convention)),
+)
+def test_form_results_are_canonical(f, g, s, k, geom, values, convention):
+    results = [
+        f + g, f - g, f - f, -f, f * s, s * f, f * 0, f.wedge(g), f.wedge(g, geom),
+        f.power(k), f.power(k, geom), f.reduce(), f.substitute(values),
+        exterior_d(f, convention), exterior_d(f, convention, geom), j_action(f),
+        d_c(f, convention, geom), _kahler_power(k, geom),
+    ]
+    if geom is not None:
+        results.append(f.truncate(geom))
+    for result in results:
+        _assert_canonical(result)

@@ -1,10 +1,16 @@
 """End-to-end command behaviour: flags, exit codes, formats."""
 
+import contextlib
+import io
 import json
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from astheno.classify import KINDS
 from astheno.cli import MAX_HALF_DIM, main
 from astheno.exprio import MAX_NESTING
 from astheno.exprio import from_record, parse
@@ -75,11 +81,20 @@ def test_check_at_the_half_dimension_cap(capsys, flags):
         ("scan", "--max-m2", "{over}"),
         ("eval", "--expr", "eta1", "--m1", "{over}", "--m2", "1"),
         ("eval", "--expr", "eta1", "--m1", "1", "--m2", "{over}"),
+        # pins outside [+-]p[/q]; Fraction(str) took 1e10000000 in 37 s
+        *(
+            ("check", "--m1", "2", "--m2", "2", "--factor1", "sasakian",
+             "--factor2", "sasakian", "--alpha1=" + pin)
+            for pin in ("1e10000000", "1e3", "1.5", "1_000", "\u0661", " 1", "1 ",
+                        "1/0", "1/-2", "", "3" * 5000)
+        ),
     ],
 )
 def test_half_dimensions_above_the_cap_are_usage_errors(capsys, argv):
     over = str(MAX_HALF_DIM + 1)
+    start = time.perf_counter()
     assert run_usage_error(capsys, *(a.format(over=over) for a in argv)) == 2
+    assert time.perf_counter() - start < 10
 
 
 def test_check_rejects_contradictory_pin(capsys):
@@ -256,6 +271,7 @@ def test_result_too_long_to_print_is_a_usage_error(capsys, argv, fmt):
     code = main([*argv, "--format", fmt])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "too long to print" in captured.err
 
@@ -278,3 +294,57 @@ def test_color_toggle(capsys, monkeypatch):
         "--factor1", "cosymplectic", "--factor2", "cosymplectic",
     )
     assert "\x1b[" not in plain
+
+
+# bounded fuzzing of the whole front end: any argv ends in exit 0, 1 or 2.
+# Half-dimensions stay <= 6, so scan never nears the cap.
+_JUNK = st.text(max_size=8)
+
+
+def _mostly(valid):
+    """A value from valid, or one time in ten arbitrary text."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else _JUNK)
+
+
+_HALF = _mostly(st.integers(-1, 6).map(str))
+_PIN = _mostly(st.fractions(min_value=-3, max_value=3, max_denominator=3).map(str))
+
+
+def _pick(*values):
+    return _mostly(st.sampled_from(values))
+
+
+_SHARED = {"--convention": _pick("graded", "ungraded"),
+           "--format": _pick("text", "latex", "json")}
+_CONDITION = {"--condition": _pick("astheno", "skt", "gauduchon"), **_SHARED}
+_OPTIONS = {
+    "check": {"--m1": _HALF, "--m2": _HALF, "--factor1": _pick(*KINDS),
+              "--factor2": _pick(*KINDS), "--alpha1": _PIN, "--beta1": _PIN,
+              "--alpha2": _PIN, "--beta2": _PIN, **_CONDITION},
+    "scan": {"--max-m1": _HALF, "--max-m2": _HALF, **_CONDITION},
+    "table": {"--id": _mostly(st.integers(-1, 12).map(str)), **_SHARED},
+    "eval": {"--expr": st.text(alphabet="0123456789 ab12etaPhi+-*/\\^()", max_size=20),
+             "--apply": _pick("d", "dc", "j"), "--m1": _HALF, "--m2": _HALF, **_SHARED},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(_pick(*_OPTIONS))
+    argv = [command]
+    for name, values in _OPTIONS.get(command, _SHARED).items():
+        if draw(st.integers(0, 19)):  # each option is left out one time in twenty
+            argv += [name, draw(values)]
+    argv += draw(st.lists(_pick("--no-truncate", "--no-ring-reduce", "--help"), max_size=2))
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+def test_main_exits_only_with_documented_codes(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

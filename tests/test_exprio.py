@@ -168,6 +168,17 @@ def test_parse_error_carries_position():
                 }
             ]
         },
+        # records built in Python, which JSON text cannot express: unknown
+        # keys of mixed types, and an int past the 4300-digit str limit
+        {"terms": [], 1: 0, "x": 0},
+        {
+            "terms": [
+                {
+                    "eta1": 10**5000, "eta2": 0, "phi1": 0, "phi2": 0,
+                    "coeff": [{"a1": 0, "b1": 0, "a2": 0, "b2": 0, "num": 1, "den": 1}],
+                }
+            ]
+        },
     ],
 )
 def test_from_record_rejects_bad_records(record):
