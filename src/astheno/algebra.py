@@ -37,6 +37,8 @@ class Monomial(NamedTuple):
         return self.e1 + self.e2 + 2 * self.p + 2 * self.q
 
     def validate(self) -> "Monomial":
+        if any(type(e) is not int for e in self):
+            raise TypeError(f"exponents must be ints, got {self}")
         if self.e1 not in (0, 1) or self.e2 not in (0, 1):
             raise ValueError(f"odd exponents must be 0 or 1, got {self}")
         if self.p < 0 or self.q < 0:

@@ -38,7 +38,9 @@ formula.
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeometry
 from .scalars import A1, A2, B1, B2, Scalar, _accumulate
@@ -153,19 +155,21 @@ def _ddc(form: Form, convention: Convention, geom: ProductGeometry | None) -> Fo
     return exterior_d(d_c(form, convention, geom), convention, geom)
 
 
-def _displays(convention: Convention) -> dict:
-    """The five low-order displays, untruncated, keyed as in fixtures.EQUATION_NAMES."""
+@lru_cache(maxsize=None)
+def _displays(convention: Convention) -> MappingProxyType:
+    """The five low-order displays, untruncated, keyed as in fixtures.EQUATION_NAMES;
+    built once per convention and read-only, since every caller shares them."""
     omega = kahler_form()
     d_omega = exterior_d(omega, convention)
     dc_omega = d_c(omega, convention)
     ddc_omega = exterior_d(dc_omega, convention)
-    return {
+    return MappingProxyType({
         "d_omega": d_omega,
         "dc_omega": dc_omega,
         "ddc_omega": ddc_omega,
         "d_wedge_dc": d_omega.wedge(dc_omega),
         "ddc_wedge_omega": ddc_omega.wedge(omega),
-    }
+    })
 
 
 def astheno_expansion(

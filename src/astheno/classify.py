@@ -180,21 +180,21 @@ def analyze_residual(
     return VanishingAnalysis(tuple(singles), tuple(pairs))
 
 
-def _verdicts(tensor: Form, pairs, ring_reduce: bool):
-    """Reduce the tensor once, then per pair substitute the pins and judge the
-    residual: yields (residual, verdict, analysis).
+def _verdicts(tensor: Form, pins, ring_reduce: bool):
+    """Reduce the tensor once, then per pair's pins (assignment, forbidden zero
+    params) substitute and judge the residual: yields (residual, verdict, analysis).
 
     Ring reduction runs before the numeric pins so the quotient by the
     integrability ideal wins over a contradictory pin.
     """
     if ring_reduce:
         tensor = tensor.reduce()
-    for pair in pairs:
-        residual = tensor.substitute(pair.assignment())
+    for assignment, forbidden in pins:
+        residual = tensor.substitute(assignment)
         if residual.is_zero:
             yield residual, VERDICT_ZERO, VanishingAnalysis((), ())
             continue
-        analysis = analyze_residual(residual, pair.forbidden_zero_params(), ring_reduce)
+        analysis = analyze_residual(residual, forbidden, ring_reduce)
         verdict = VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO
         yield residual, verdict, analysis
 
@@ -230,7 +230,8 @@ def classify(
     condition = Condition(condition)
     convention = Convention(convention)
     tensor = condition_tensor(condition, geom, convention)
-    [(residual, verdict, analysis)] = _verdicts(tensor, (pair,), ring_reduce)
+    pins = [(pair.assignment(), pair.forbidden_zero_params())]
+    [(residual, verdict, analysis)] = _verdicts(tensor, pins, ring_reduce)
     return ClassificationReport(
         condition=condition,
         geometry=geom,
@@ -414,12 +415,13 @@ def scan(
     condition = Condition(condition)
     convention = Convention(convention)
     pairs = [pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
+    pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in pairs]
     cells = []
     for m1 in range(1, max_m1 + 1):
         for m2 in range(1, max_m2 + 1):
             tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
             for pair, (_, verdict, analysis) in zip(
-                pairs, _verdicts(tensor, pairs, ring_reduce)
+                pairs, _verdicts(tensor, pins, ring_reduce)
             ):
                 cells.append(
                     ScanCell(

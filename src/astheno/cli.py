@@ -267,7 +267,18 @@ def cmd_table(args, parser) -> int:
 # scan
 
 
+# Largest accepted scan grid in geometries (9 cells each): bounds time and output.
+MAX_SCAN_GEOMETRIES = 4096
+
+
+def _cell_payload(c) -> dict:
+    return {"m1": c.m1, "m2": c.m2, "factor1": c.factor1, "factor2": c.factor2,
+            "verdict": c.verdict, "vanishing_conditions": list(c.conditions)}
+
+
 def cmd_scan(args, parser) -> int:
+    if args.max_m1 * args.max_m2 > MAX_SCAN_GEOMETRIES:
+        parser.error(f"--max-m1 * --max-m2 must be <= {MAX_SCAN_GEOMETRIES}")
     report = scan(
         max_m1=args.max_m1, max_m2=args.max_m2,
         condition=args.condition, convention=args.convention,
@@ -282,21 +293,13 @@ def cmd_scan(args, parser) -> int:
                 "convention": report.convention.value,
                 "max_m1": report.max_m1,
                 "max_m2": report.max_m2,
-                "cells": [
-                    {
-                        "m1": c.m1, "m2": c.m2,
-                        "factor1": c.factor1, "factor2": c.factor2,
-                        "verdict": c.verdict,
-                        "vanishing_conditions": list(c.conditions),
-                    }
-                    for c in report.cells
-                ],
+                "cells": [_cell_payload(c) for c in report.cells],
                 "propositions": [
                     {
                         "name": p.name,
                         "statement": p.statement,
                         "holds": p.holds,
-                        "counterexamples": [list(c) for c in p.counterexamples],
+                        "counterexamples": [_cell_payload(c) for c in p.counterexamples],
                     }
                     for p in report.propositions
                 ],
@@ -321,8 +324,9 @@ def cmd_scan(args, parser) -> int:
             status = _mark(prop.holds, "holds" if prop.holds else "FAILS")
             print(f"proposition {prop.name}: {status}")
             print(f"  {prop.statement}")
-            for cex in prop.counterexamples:
-                print(f"  counterexample: {cex}")
+            for c in prop.counterexamples:
+                print(f"  counterexample: m1={c.m1}, m2={c.m2}, "
+                      f"{c.factor1} x {c.factor2}: {c.verdict}")
     return EXIT_OK if report.ok else EXIT_DIFF
 
 

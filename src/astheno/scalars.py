@@ -5,7 +5,8 @@ engine.  (a_i, b_i) are the (alpha, beta) constants of the i-th factor
 structure.  The quotient relations a1*b1 = 0 and a2*b2 = 0 (a trans-Sasakian
 factor of dimension >= 5 is alpha-Sasakian, beta-Kenmotsu or cosymplectic,
 so the product alpha*beta always vanishes) are applied only on demand through
-:meth:`Scalar.reduce`, never implicitly.
+:meth:`Scalar.reduce`, never implicitly.  A coefficient is an ``int`` when it
+is integral, else a ``Fraction`` with denominator > 1.
 """
 
 from __future__ import annotations
@@ -22,15 +23,20 @@ RationalLike = Union[int, Fraction]
 _UNIT: Exps = (0, 0, 0, 0)
 
 
+def _canon(c):
+    """A Fraction with denominator 1 as int; any other value as it is."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 def _accumulate(out: dict, key, coeff) -> None:
     """Add coeff into the sparse dict out at key; a zero sum drops the key.
 
-    The one accumulation step of the engine, shared by Scalar (Fraction
-    coefficients) and Form (Scalar coefficients).  A new key takes coeff as
-    it is, with no addition to a zero.
+    The one accumulation step of the engine, shared by Scalar (canonical
+    int-or-Fraction coefficients) and Form (Scalar coefficients).  A new key
+    takes coeff as it is, with no addition to a zero; a sum is canonical.
     """
     acc = out.get(key)
-    coeff = coeff if acc is None else acc + coeff
+    coeff = coeff if acc is None else _canon(acc + coeff)
     if coeff:
         out[key] = coeff
     else:
@@ -43,22 +49,25 @@ def _is_mixed(exps: Exps) -> bool:
 
 
 class Scalar:
-    """Sparse polynomial, exponent vector -> nonzero Fraction."""
+    """Sparse polynomial: 4-tuple of non-negative int exponents -> nonzero coefficient."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exps, RationalLike] | None = None):
-        data: dict[Exps, Fraction] = {}
+        data: dict[Exps, RationalLike] = {}
         if terms:
             for exps, coeff in terms.items():
-                c = Fraction(coeff)
+                if not (isinstance(exps, tuple) and len(exps) == 4
+                        and all(type(e) is int and e >= 0 for e in exps)):
+                    raise ValueError(f"exponent key must be 4 non-negative ints, got {exps!r}")
+                c = _canon(Fraction(coeff))
                 if c:
                     data[tuple(exps)] = c
         self.terms = data
 
     @classmethod
     def _of(cls, terms: dict) -> "Scalar":
-        """Wrap a dict already in canonical form: 4-int tuple keys, nonzero Fractions."""
+        """Wrap a dict already in canonical form: 4-int tuple keys, nonzero coefficients."""
         result = cls.__new__(cls)
         result.terms = terms
         return result
@@ -75,7 +84,7 @@ class Scalar:
 
     @classmethod
     def rational(cls, value: RationalLike) -> "Scalar":
-        return cls({_UNIT: Fraction(value)})
+        return cls({_UNIT: value})
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
@@ -136,17 +145,16 @@ class Scalar:
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
             if not other:
                 return Scalar.zero()
-            return Scalar._of({e: c * other for e, c in self.terms.items()})
+            return Scalar._of({e: _canon(c * other) for e, c in self.terms.items()})
         if not isinstance(other, Scalar):
             return NotImplemented
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, RationalLike] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                _accumulate(out, exps, c1 * c2)
+                _accumulate(out, exps, _canon(c1 * c2))
         return Scalar._of(out)
 
     __rmul__ = __mul__
@@ -158,20 +166,27 @@ class Scalar:
         return Scalar._of({e: c for e, c in self.terms.items() if not _is_mixed(e)})
 
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Scalar":
-        """Partially evaluate: pinned parameters get values, others stay."""
+        """Partially evaluate: pinned parameters get values, others stay.  A zero
+        pin does no arithmetic: the terms it occurs in drop, the rest stay as is."""
         for name in assign:
             if name not in PARAMS:
                 raise ValueError(f"unknown parameter {name!r}")
-        out: dict[Exps, Fraction] = {}
-        for exps, coeff in self.terms.items():
+        terms, pins = self.terms.items(), []
+        for idx, name in enumerate(PARAMS):
+            if assign.get(name, 0) != 0:
+                pins.append((idx, _canon(Fraction(assign[name]))))
+            elif name in assign:
+                terms = [(e, c) for e, c in terms if not e[idx]]
+        if not pins:
+            return Scalar._of(dict(terms))
+        out: dict[Exps, RationalLike] = {}
+        for exps, coeff in terms:
             new_exps = list(exps)
-            for idx, name in enumerate(PARAMS):
-                if name in assign and exps[idx]:
-                    coeff = coeff * Fraction(assign[name]) ** exps[idx]
+            for idx, value in pins:
+                if exps[idx]:
+                    coeff = coeff * value ** exps[idx]
                     new_exps[idx] = 0
-                    if not coeff:
-                        break
-            _accumulate(out, tuple(new_exps), coeff)
+            _accumulate(out, tuple(new_exps), _canon(coeff))
         return Scalar._of(out)
 
     def identify(self, src: str, dst: str, sign: int = 1) -> "Scalar":
@@ -179,11 +194,11 @@ class Scalar:
         if src == dst:
             raise ValueError("src and dst must differ")
         si, di = PARAMS.index(src), PARAMS.index(dst)
-        out: dict[Exps, Fraction] = {}
+        out: dict[Exps, RationalLike] = {}
         for exps, coeff in self.terms.items():
             new_exps = list(exps)
             if exps[si]:
-                coeff = coeff * Fraction(sign) ** exps[si]
+                coeff = coeff * sign ** exps[si]
                 new_exps[di] += exps[si]
                 new_exps[si] = 0
             _accumulate(out, tuple(new_exps), coeff)

@@ -29,6 +29,9 @@ def test_monomial_degree_and_validation():
         Monomial(2, 0, 0, 0).validate()
     with pytest.raises(ValueError):
         Monomial(0, 0, -1, 0).validate()
+    for key in ((0, 0, 0.5, 0), (True, 0, 0, 0), (0, 0, 1.0, 0)):
+        with pytest.raises(TypeError):
+            Form({key: 1})
 
 
 def test_geometry_validation():

@@ -11,6 +11,7 @@ from astheno.algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeome
 from astheno.calculus import (
     Condition,
     Convention,
+    _displays,
     _kahler_power,
     astheno_expansion,
     condition_tensor,
@@ -96,6 +97,15 @@ def test_j_fixes_the_fundamental_form():
 def test_dc_is_rotation_of_d(x):
     for conv in Convention:
         assert d_c(x, conv) == j_action(exterior_d(x, conv))
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_displays_are_built_once_and_read_only(convention):
+    first = _displays(convention)
+    assert _displays(convention) is first
+    assert dict(_displays(Convention(convention.value))) == dict(first)
+    with pytest.raises(TypeError):
+        first["d_omega"] = Form.zero()
 
 
 def test_reference_displays_reproduce_ungraded():
@@ -247,7 +257,9 @@ def _assert_canonical_scalar(x):
     for exps, coeff in x.terms.items():
         assert type(exps) is tuple and len(exps) == 4
         assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        # an int when integral, else a Fraction with denominator > 1
+        assert coeff != 0
+        assert type(coeff) is (Fraction if coeff.denominator > 1 else int)
 
 
 def _assert_canonical(x):

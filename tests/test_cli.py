@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astheno.classify import KINDS
-from astheno.cli import MAX_HALF_DIM, main
+from astheno import cli
+from astheno.calculus import Condition, Convention
+from astheno.classify import KINDS, VERDICT_NONZERO, Proposition, ScanCell, ScanReport
+from astheno.cli import MAX_HALF_DIM, MAX_SCAN_GEOMETRIES, main
 from astheno.exprio import MAX_NESTING
 from astheno.exprio import from_record, parse
 
@@ -174,6 +176,44 @@ def test_scan_json(capsys):
     payload = json.loads(out)
     assert len(payload["cells"]) == 36
     assert all(p["holds"] for p in payload["propositions"])
+
+
+@pytest.mark.parametrize("max_m1, max_m2", [(17, 241), (MAX_HALF_DIM, MAX_HALF_DIM)])
+def test_scan_above_the_grid_cap_is_a_usage_error(capsys, max_m1, max_m2):
+    # 17 * 241 is one past the cap; the cap itself runs for minutes
+    assert 17 * 241 == MAX_SCAN_GEOMETRIES + 1
+    start = time.perf_counter()
+    assert run_usage_error(capsys, "scan", "--max-m1", str(max_m1), "--max-m2", str(max_m2)) == 2
+    assert time.perf_counter() - start < 1
+
+
+def _failing_scan(**kwargs):
+    cell = ScanCell(2, 3, "sasakian", "kenmotsu", VERDICT_NONZERO, ("a1=0",))
+    prop = Proposition("made-up", "every cell vanishes", False, (cell,))
+    return ScanReport(Condition.ASTHENO, Convention.GRADED, 2, 3, (cell,), (prop,))
+
+
+def test_scan_failing_proposition_text(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan", _failing_scan)
+    code, out = run(capsys, "scan")
+    assert code == 1
+    assert "proposition made-up: FAILS" in out
+    assert "  counterexample: m1=2, m2=3, sasakian x kenmotsu: nonzero\n" in out
+    assert "ScanCell" not in out
+
+
+def test_scan_failing_proposition_json(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "scan", _failing_scan)
+    code, out = run(capsys, "scan", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    [prop] = payload["propositions"]
+    assert not prop["holds"] and not payload["ok"]
+    assert prop["counterexamples"] == payload["cells"]
+    assert payload["cells"][0] == {
+        "m1": 2, "m2": 3, "factor1": "sasakian", "factor2": "kenmotsu",
+        "verdict": VERDICT_NONZERO, "vanishing_conditions": ["a1=0"],
+    }
 
 
 def test_verify_passes(capsys):

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
+from astheno.algebra import UNIT_MONOMIAL
+from astheno.exprio import parse, print_text, to_record
 from astheno.scalars import A1, A2, B1, B2, PARAMS, ZERO, Scalar
 
 from conftest import param_values, rationals, scalars
@@ -68,6 +71,48 @@ def test_substitute_partial_then_rest(x, v):
     assert "a1" not in part.params_present()
     rest = {name: Fraction(1) for name in PARAMS}
     assert part.evaluate(rest) == x.evaluate({**rest, "a1": v})
+
+
+# zero pins take the filter path, nonzero integer and p/q pins multiply
+_PINS = st.dictionaries(
+    st.sampled_from(PARAMS), st.one_of(st.just(0), st.integers(-3, 3), rationals)
+)
+
+
+@given(scalars(max_terms=5), _PINS, param_values)
+def test_substitute_mixed_pins_then_evaluate(x, pins, values):
+    rest = {name: v for name, v in values.items() if name not in pins}
+    assert x.substitute(pins).evaluate(rest) == x.evaluate({**pins, **rest})
+
+
+def test_integral_coefficients_are_stored_as_int():
+    exps = (1, 0, 0, 2)
+    assert type(Scalar({exps: Fraction(4, 2)}).terms[exps]) is int
+    assert type(Scalar({exps: Fraction(1, 2)}).terms[exps]) is Fraction
+    assert type((Scalar({exps: Fraction(1, 2)}) * 2).terms[exps]) is int
+
+
+@pytest.mark.parametrize(
+    "text, printed, num, den", [("1/2", "1/2", 1, 2), ("-3", "-3", -3, 1), ("4/2", "2", 2, 1)]
+)
+def test_rational_literals_print_and_record_unchanged(text, printed, num, den):
+    form = parse(text)
+    [coeff] = form.terms[UNIT_MONOMIAL].terms.values()
+    assert type(coeff) is (int if den == 1 else Fraction)
+    assert print_text(form) == printed
+    assert parse(printed) == form
+    [entry] = to_record(form)["terms"][0]["coeff"]
+    assert (entry["num"], entry["den"]) == (num, den)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [(0.5, -1), (1, 2), (0, 0, 0), (0, 0, 0, 0, 0), (0, 0, 0.5, 0), (True, 0, 0, 0),
+     (0, -1, 0, 0), (0, 0, 0, Fraction(1)), "a1b1"],
+)
+def test_constructor_rejects_malformed_keys(key):
+    with pytest.raises((TypeError, ValueError)):
+        Scalar({key: 1})
 
 
 def test_substitute_rejects_unknown_parameter():
