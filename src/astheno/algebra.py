@@ -63,6 +63,8 @@ class ProductGeometry:
     truncate: bool = True
 
     def __post_init__(self) -> None:
+        if type(self.m1) is not int or type(self.m2) is not int:
+            raise TypeError(f"half-dimensions must be ints, got m1={self.m1!r}, m2={self.m2!r}")
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError(
                 f"factor half-dimensions must be >= 1, got m1={self.m1}, m2={self.m2}"

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import fixtures
 from .algebra import Form, ProductGeometry
 from .calculus import Condition, Convention, condition_tensor
-from .scalars import PARAMS
+from .scalars import PARAMS, RATIONAL_TYPES
 
 PURE_KINDS = ("sasakian", "kenmotsu", "cosymplectic")
 KINDS = PURE_KINDS + ("trans-sasakian",)
@@ -45,8 +45,8 @@ class FactorStructure:
             raise ValueError(f"unknown structure kind {self.kind!r}")
         for name in ("alpha", "beta"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, (int, Fraction)):
-                raise TypeError(f"{name} pin must be rational, got {type(value).__name__}")
+            if value is not None and type(value) not in RATIONAL_TYPES:
+                raise TypeError(f"{name} pin must be int or Fraction, not {type(value)}")
         for name in self.zero_names():
             value = getattr(self, name)
             if value is not None and value != 0:
@@ -408,26 +408,31 @@ def scan(
 ) -> ScanReport:
     """Verdict matrix over the pure structure pairs and half-dimensions.
 
-    The tensor is computed once per geometry and substituted per pair. The
-    two bundled propositions are evaluated over the scanned range when the
-    condition is astheno; other conditions carry no propositions.
+    The tensor is computed once per geometry, and each distinct tensor is
+    judged once, its verdict row reused by every geometry where it recurs (the
+    skt tensor takes only four values over any grid).  The two bundled
+    propositions are evaluated over the scanned range when the condition is
+    astheno; other conditions carry no propositions.
     """
     condition = Condition(condition)
     convention = Convention(convention)
     pairs = [pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
     pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in pairs]
+    rows: dict = {}  # tensor content -> (verdict, annihilating) per pair
     cells = []
     for m1 in range(1, max_m1 + 1):
         for m2 in range(1, max_m2 + 1):
             tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
-            for pair, (_, verdict, analysis) in zip(
-                pairs, _verdicts(tensor, pins, ring_reduce)
-            ):
+            key = frozenset((mono, frozenset(s.terms.items())) for mono, s in tensor.terms.items())
+            row = rows.get(key)
+            if row is None:
+                row = rows[key] = [
+                    (verdict, analysis.annihilating)
+                    for _, verdict, analysis in _verdicts(tensor, pins, ring_reduce)
+                ]
+            for pair, (verdict, conditions) in zip(pairs, row):
                 cells.append(
-                    ScanCell(
-                        m1, m2, pair.factor1.kind, pair.factor2.kind,
-                        verdict, analysis.annihilating,
-                    )
+                    ScanCell(m1, m2, pair.factor1.kind, pair.factor2.kind, verdict, conditions)
                 )
     cells = tuple(cells)
     if condition is Condition.ASTHENO:

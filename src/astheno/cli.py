@@ -93,12 +93,22 @@ def _positive(text: str) -> int:
 # limit on int-to-str conversion, and an untruncated check still takes seconds.
 MAX_HALF_DIM = 2048
 
+# Largest accepted --trials of verify.  A trial costs 0.1-0.3 ms, so the cap
+# runs in 4-8 s (Python 3.11 on 2 shared vCPUs of an Intel Xeon).
+MAX_TRIALS = 30_000
 
-def _half_dim(text: str) -> int:
-    value = _positive(text)
-    if value > MAX_HALF_DIM:
-        raise argparse.ArgumentTypeError(f"must be <= {MAX_HALF_DIM}, got {value}")
-    return value
+
+def _at_most(cap: int):
+    """argparse type: an integer in 1..cap."""
+    def bounded(text: str) -> int:
+        value = _positive(text)
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}")
+        return value
+    return bounded
+
+
+_half_dim = _at_most(MAX_HALF_DIM)
 
 
 def _add_format(sub: argparse.ArgumentParser) -> None:
@@ -446,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the full self-audit: checks fail, findings inform"
     )
     verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verify.add_argument("--trials", type=_positive, default=200,
-                        help="randomized-check sample size")
+    verify.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200,
+                        help=f"randomized-check sample size (1..{MAX_TRIALS})")
     _add_format(verify)
     verify.set_defaults(run=cmd_verify)
 

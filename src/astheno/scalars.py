@@ -19,6 +19,9 @@ PARAMS = ("a1", "b1", "a2", "b2")
 # exponent vector over (a1, b1, a2, b2)
 Exps = tuple
 RationalLike = Union[int, Fraction]
+# the exact types of coefficients and pins: a binary float would enter the ring
+# as its exact expansion, and a bool is no number
+RATIONAL_TYPES = (int, Fraction)
 
 _UNIT: Exps = (0, 0, 0, 0)
 
@@ -60,7 +63,9 @@ class Scalar:
                 if not (isinstance(exps, tuple) and len(exps) == 4
                         and all(type(e) is int and e >= 0 for e in exps)):
                     raise ValueError(f"exponent key must be 4 non-negative ints, got {exps!r}")
-                c = _canon(Fraction(coeff))
+                if type(coeff) not in RATIONAL_TYPES:
+                    raise TypeError(f"coefficient must be int or Fraction, not {type(coeff)}")
+                c = _canon(coeff)
                 if c:
                     data[tuple(exps)] = c
         self.terms = data
@@ -106,7 +111,7 @@ class Scalar:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
             return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
+        if type(other) in RATIONAL_TYPES:
             return self == Scalar.rational(other)
         return NotImplemented
 
@@ -121,7 +126,7 @@ class Scalar:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
-        if isinstance(other, (int, Fraction)):
+        if type(other) in RATIONAL_TYPES:
             other = Scalar.rational(other)
         elif not isinstance(other, Scalar):
             return NotImplemented
@@ -136,7 +141,7 @@ class Scalar:
         return Scalar._of({exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, Scalar) and type(other) not in RATIONAL_TYPES:
             return NotImplemented
         return self + (-other)
 
@@ -144,7 +149,7 @@ class Scalar:
         return (-self) + other
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
-        if isinstance(other, (int, Fraction)):
+        if type(other) in RATIONAL_TYPES:
             if not other:
                 return Scalar.zero()
             return Scalar._of({e: _canon(c * other) for e, c in self.terms.items()})
@@ -168,9 +173,11 @@ class Scalar:
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Scalar":
         """Partially evaluate: pinned parameters get values, others stay.  A zero
         pin does no arithmetic: the terms it occurs in drop, the rest stay as is."""
-        for name in assign:
+        for name, value in assign.items():
             if name not in PARAMS:
                 raise ValueError(f"unknown parameter {name!r}")
+            if type(value) not in RATIONAL_TYPES:
+                raise TypeError(f"pin {name} must be int or Fraction, not {type(value)}")
         terms, pins = self.terms.items(), []
         for idx, name in enumerate(PARAMS):
             if assign.get(name, 0) != 0:

@@ -39,6 +39,10 @@ def test_geometry_validation():
         ProductGeometry(0, 1)
     with pytest.raises(ValueError):
         ProductGeometry(1, 0)
+    # a float half-dimension would make m a float and fail deep in math.comb
+    for m1, m2 in ((1.5, 2), (2.0, 2), (True, 2), (2, False), ("2", 2)):
+        with pytest.raises(TypeError):
+            ProductGeometry(m1, m2)
     geom = ProductGeometry(2, 3)
     assert geom.m == 6
     assert geom.untruncated().truncate is False

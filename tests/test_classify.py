@@ -1,5 +1,6 @@
 """Structure pairs, verdicts, table reproduction, and the range scan."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,11 @@ def test_factor_structure_validation():
         FactorStructure("cosymplectic", alpha=1)
     with pytest.raises(ValueError):
         FactorStructure("kenmotsu", beta=0)
+    for value in (True, False, 0.5, 1.0):  # pins are ints (not bools) or Fractions
+        with pytest.raises(TypeError):
+            FactorStructure("sasakian", alpha=value)
+        with pytest.raises(TypeError):
+            FactorStructure("trans-sasakian", beta=value)
 
 
 def test_structure_pair_assignment():
@@ -213,6 +219,40 @@ def test_scan_matrix_and_propositions():
                         assert verdict != "identically-zero"
     assert all(p.holds for p in report.propositions)
     assert report.ok
+
+
+@pytest.mark.parametrize("ring_reduce", [True, False])
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("condition", list(Condition))
+def test_scan_cells_match_classify(condition, convention, ring_reduce):
+    # 4 x 5 holds the m_i = 1 rows, whose tensors differ from the rest
+    report = scan(4, 5, condition, convention, ring_reduce)
+    assert len(report.cells) == 4 * 5 * 9
+    for cell in report.cells:
+        rep = classify(
+            condition, ProductGeometry(cell.m1, cell.m2),
+            pure_pair(cell.factor1, cell.factor2), convention, ring_reduce,
+        )
+        assert (cell.verdict, cell.conditions) == (rep.verdict, rep.conditions), cell
+
+
+@pytest.mark.parametrize(
+    "max_m1, max_m2, condition, judged",
+    [(6, 6, Condition.SKT, 4), (4, 4, Condition.ASTHENO, 16)],
+)
+def test_scan_judges_each_distinct_tensor_once(monkeypatch, max_m1, max_m2, condition, judged):
+    # the skt tensor changes only where an m_i leaves 1; astheno differs everywhere
+    module = sys.modules[scan.__module__]  # the package's classify names the function
+    real, calls = module._verdicts, []
+
+    def counting(tensor, pins, ring_reduce):
+        calls.append(tensor)
+        return real(tensor, pins, ring_reduce)
+
+    monkeypatch.setattr(module, "_verdicts", counting)
+    report = scan(max_m1, max_m2, condition)
+    assert len(calls) == judged
+    assert len(report.cells) == max_m1 * max_m2 * 9
 
 
 def test_scan_without_propositions_for_other_conditions():

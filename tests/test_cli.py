@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from astheno import cli
 from astheno.calculus import Condition, Convention
 from astheno.classify import KINDS, VERDICT_NONZERO, Proposition, ScanCell, ScanReport
-from astheno.cli import MAX_HALF_DIM, MAX_SCAN_GEOMETRIES, main
+from astheno.cli import MAX_HALF_DIM, MAX_SCAN_GEOMETRIES, MAX_TRIALS, main
 from astheno.exprio import MAX_NESTING
 from astheno.exprio import from_record, parse
 
@@ -286,6 +286,25 @@ def test_eval_deep_nesting_is_a_parse_error(capsys):
         captured = capsys.readouterr()
         assert code == 2
         assert "nested deeper" in captured.err
+
+
+def test_eval_product_past_the_work_budget_is_a_parse_error(capsys):
+    # 959 characters; before the budget it ran for over a minute
+    expr = "*".join(["(a1+b1+a2+b2+Phi1+Phi2)"] * 40)
+    start = time.perf_counter()
+    code = main(["eval", "--expr", expr])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "expression too large" in captured.err
+    assert elapsed < 1.0
+
+
+def test_verify_trials_above_the_cap_are_usage_errors(capsys):
+    start = time.perf_counter()
+    code = run_usage_error(capsys, "verify", "--trials", str(MAX_TRIALS + 1))
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_eval_non_ascii_digits_and_long_literals_are_parse_errors(capsys):

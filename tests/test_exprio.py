@@ -11,6 +11,7 @@ from astheno.algebra import ETA1, Form, Monomial
 from astheno.audit import random_form
 from astheno.exprio import (
     MAX_NESTING,
+    MAX_WORK,
     ParseError,
     RecordError,
     from_record,
@@ -128,6 +129,21 @@ def test_parse_limits_nesting():
     assert info.value.col == 1 + MAX_NESTING
 
 
+def test_parse_limits_work():
+    # a coefficient of 200 words (2^12736 has 12737 bits) weighs 200 terms
+    big = str(2**12736)
+    fits = MAX_WORK // 200
+
+    def product(terms):
+        return f"{big}*(" + "+".join(f"b1^{i}" for i in range(1, terms + 1)) + ")"
+
+    assert len(parse(product(fits)).terms[Monomial(0, 0, 0, 0)].terms) == fits
+    with pytest.raises(ParseError) as info:
+        parse(product(fits + 1))
+    assert "expression too large" in str(info.value)
+    assert info.value.col == len(big) + 1
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as info:
         parse("eta1 + @")
@@ -179,6 +195,24 @@ def test_parse_error_carries_position():
                 }
             ]
         },
+        # binary floats and bools are not integers of the record schema
+        *(
+            {
+                "terms": [
+                    {
+                        "eta1": 0, "eta2": 0, "phi1": 0, "phi2": 0,
+                        "coeff": [{"a1": 0, "b1": 0, "a2": 0, "b2": 0, **bad}],
+                    }
+                ]
+            }
+            for bad in (
+                {"num": 0.5, "den": 1},
+                {"num": 1.0, "den": 1},
+                {"num": True, "den": 1},
+                {"num": 1, "den": 2.0},
+                {"num": 1, "den": True},
+            )
+        ),
     ],
 )
 def test_from_record_rejects_bad_records(record):

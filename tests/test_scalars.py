@@ -115,6 +115,32 @@ def test_constructor_rejects_malformed_keys(key):
         Scalar({key: 1})
 
 
+@pytest.mark.parametrize("value", [0.1, 0.0, 2.0, True, False, "1", None])
+def test_constructor_rejects_non_rational_coefficients(value):
+    # a binary float would enter the ring as its exact expansion, a bool as 0 or 1
+    with pytest.raises(TypeError):
+        Scalar({(0, 0, 0, 0): value})
+    with pytest.raises(TypeError):
+        Scalar.rational(value)
+    for op in (lambda: A1 + value, lambda: A1 - value, lambda: A1 * value, lambda: value * A1):
+        with pytest.raises(TypeError):
+            op()
+
+
+@pytest.mark.parametrize("value", [0.1, 0.0, 2.0, True, False])
+def test_substitute_rejects_non_rational_pins(value):
+    with pytest.raises(TypeError):
+        A1.substitute({"a1": value})
+    with pytest.raises(TypeError):
+        (A1 * B2).substitute({"a1": 1, "b2": value})
+
+
+def test_substitute_takes_int_and_fraction_pins():
+    assert A1.substitute({"a1": Fraction(1, 2)}) == Fraction(1, 2)
+    assert A1.substitute({"a1": Fraction(4, 2)}).terms == {(0, 0, 0, 0): 2}
+    assert (A1 + B2).substitute({"a1": 0}) == B2
+
+
 def test_substitute_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         A1.substitute({"gamma": 1})
