@@ -239,16 +239,9 @@ class Form:
         return self.map_scalars(lambda s: s.substitute(assign))
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "Form(0)"
-        names = ("eta1", "eta2", "Phi1", "Phi2")
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (m.degree(), m)):
-            word = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(names, mono) if e
-            )
-            bits.append(f"({self.terms[mono]!r})*{word or '1'}")
-        return f"Form({' + '.join(bits)})"
+        from .exprio import print_text  # call-time import: exprio imports this module
+
+        return f"Form({print_text(self)})"
 
 
 ETA1 = Form.monomial(Monomial(1, 0, 0, 0))

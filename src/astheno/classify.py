@@ -24,8 +24,15 @@ from .algebra import Form, ProductGeometry
 from .calculus import Condition, Convention, condition_tensor
 from .scalars import PARAMS, RATIONAL_TYPES
 
+# kind -> (the factor's parameters it forces to zero, those it makes nonzero)
+_KIND_PARAMS = {
+    "sasakian": (("beta",), ("alpha",)),
+    "kenmotsu": (("alpha",), ("beta",)),
+    "cosymplectic": (("alpha", "beta"), ()),
+    "trans-sasakian": ((), ()),
+}
 PURE_KINDS = ("sasakian", "kenmotsu", "cosymplectic")
-KINDS = PURE_KINDS + ("trans-sasakian",)
+KINDS = tuple(_KIND_PARAMS)
 
 VERDICT_ZERO = "identically-zero"
 VERDICT_NONZERO = "nonzero"
@@ -56,20 +63,10 @@ class FactorStructure:
                 raise ValueError(f"{self.kind} has {name} != 0, cannot pin {name} = 0")
 
     def zero_names(self) -> tuple:
-        if self.kind == "sasakian":
-            return ("beta",)
-        if self.kind == "kenmotsu":
-            return ("alpha",)
-        if self.kind == "cosymplectic":
-            return ("alpha", "beta")
-        return ()
+        return _KIND_PARAMS[self.kind][0]
 
     def nonzero_names(self) -> tuple:
-        if self.kind == "sasakian":
-            return ("alpha",)
-        if self.kind == "kenmotsu":
-            return ("beta",)
-        return ()
+        return _KIND_PARAMS[self.kind][1]
 
 
 @dataclass(frozen=True)
@@ -79,15 +76,15 @@ class StructurePair:
 
     def assignment(self) -> dict:
         """Numeric substitution implied by the kinds and any explicit pins."""
-        out: dict[str, Fraction] = {}
+        out: dict[str, int | Fraction] = {}
         for idx, factor in ((1, self.factor1), (2, self.factor2)):
             slots = {"alpha": f"a{idx}", "beta": f"b{idx}"}
             for name in factor.zero_names():
-                out[slots[name]] = Fraction(0)
+                out[slots[name]] = 0
             for name, param in slots.items():
                 value = getattr(factor, name)
                 if value is not None:
-                    out[param] = Fraction(value)
+                    out[param] = value
         return out
 
     def forbidden_zero_params(self) -> frozenset:

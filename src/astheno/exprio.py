@@ -21,10 +21,10 @@ coefficient monomials by exponent vector) and round-trips exactly:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .algebra import Form, Monomial, UNIT_MONOMIAL
-from .scalars import PARAMS, Scalar
+from .algebra import Form, Monomial
+from .scalars import _UNIT, PARAMS, Scalar, _accumulate
 
 GENERATORS = ("eta1", "eta2", "Phi1", "Phi2")
 
@@ -178,12 +178,18 @@ class _Parser:
         return form
 
     def form(self) -> Form:
-        value = self.term()
-        while self.peek().kind in ("PLUS", "MINUS"):
-            op = self.advance()
-            rhs = self.term()
-            value = value + rhs if op.kind == "PLUS" else value - rhs
-        return value
+        # every signed summand accumulates into one word -> coefficient-terms
+        # map, so a sum costs linear time; adding Forms copies the running total
+        words: dict = {}
+        sign = 1
+        while True:
+            for mono, scalar in self.term().terms.items():
+                acc = words.setdefault(mono, {})
+                for exps, coeff in scalar.terms.items():
+                    _accumulate(acc, exps, sign * coeff)
+            if self.peek().kind not in ("PLUS", "MINUS"):
+                return Form._of({m: Scalar._of(acc) for m, acc in words.items() if acc})
+            sign = 1 if self.advance().kind == "PLUS" else -1
 
     def term(self) -> Form:
         value = self.atom()
@@ -283,128 +289,93 @@ def _join_signed(entries: list) -> str:
     return out
 
 
-def _scalar_term_text(exps, coeff: Fraction) -> str:
-    parts = []
-    if coeff != 1 or not any(exps):
-        parts.append(str(coeff))
-    for name, e in zip(PARAMS, exps):
-        if e:
-            parts.append(f"{name}^{e}" if e > 1 else name)
-    return "*".join(parts)
+class _Style(NamedTuple):
+    """What one output format writes for each part of a form; _render does the rest."""
+
+    params: tuple  # names of a1, b1, a2, b2
+    generators: tuple  # names of eta1, eta2, Phi1, Phi2
+    exponent: Callable  # suffix for an exponent > 1
+    rational: Callable  # writes a nonzero coefficient
+    times: str  # between a number and the parameters of a coefficient term, and between those
+    wedge: str  # between the generators of a word
+    scale: str  # between a coefficient and its word
+    group: str  # wraps a coefficient of several terms
+    units: dict  # coefficient -> the bare sign it is written as before a symbol
 
 
-def _scalar_text(scalar: Scalar) -> str:
-    entries = [
-        _scalar_term_text(exps, scalar.terms[exps]) for exps in sorted(scalar.terms)
-    ]
-    if len(entries) == 1:
-        return entries[0]
-    return f"({_join_signed(entries)})"
+def _latex_rational(value) -> str:
+    if value.denominator == 1:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
 
 
-def _monomial_text(mono: Monomial) -> str:
-    parts = []
-    for name, e in zip(GENERATORS, mono):
-        if e:
-            parts.append(f"{name}^{e}" if e > 1 else name)
-    return "/\\".join(parts)
+_TEXT = _Style(
+    params=PARAMS,
+    generators=GENERATORS,
+    exponent=lambda e: f"^{e}",
+    rational=str,
+    times="*",
+    wedge="/\\",
+    scale="*",
+    group="({})",
+    units={1: ""},
+)
+
+_LATEX = _Style(
+    params=(r"\alpha_1", r"\beta_1", r"\alpha_2", r"\beta_2"),
+    generators=(r"\eta_1", r"\eta_2", r"\Phi_1", r"\Phi_2"),
+    exponent=lambda e: f"^{e}" if e < 10 else f"^{{{e}}}",
+    rational=_latex_rational,
+    times="",
+    wedge=r"\wedge",
+    scale=r"\,",
+    group=r"\left({}\right)",
+    units={1: "", -1: "-"},
+)
+
+
+def _symbols(style: _Style, names: tuple, exps, sep: str) -> str:
+    return sep.join([n if e == 1 else n + style.exponent(e) for n, e in zip(names, exps) if e])
+
+
+def _scaled(style: _Style, coeff, body: str, sep: str) -> str:
+    """A number before a symbol string, a unit number as its bare sign."""
+    if not body:
+        return style.rational(coeff)
+    # a Fraction is never a unit (denominator > 1), and hashing one is slow
+    if type(coeff) is int and coeff in style.units:
+        return style.units[coeff] + body
+    return style.rational(coeff) + sep + body
+
+
+def _render(style: _Style, form: Form) -> str:
+    if form.is_zero:
+        return "0"
+    rendered = []
+    for mono in _sorted_monomials(form):
+        terms = form.terms[mono].terms
+        word = _symbols(style, style.generators, mono, style.wedge)
+        if len(terms) == 1 and _UNIT in terms:
+            rendered.append(_scaled(style, terms[_UNIT], word, style.scale))
+            continue
+        coeff = _join_signed([
+            _scaled(style, c, _symbols(style, style.params, exps, style.times), style.times)
+            for exps, c in sorted(terms.items())
+        ])
+        if len(terms) > 1:
+            coeff = style.group.format(coeff)
+        rendered.append(coeff + style.scale + word if word else coeff)
+    return _join_signed(rendered)
 
 
 def print_text(form: Form) -> str:
     """Deterministic grammar text; parse(print_text(f)) == f."""
-    if form.is_zero:
-        return "0"
-    rendered = []
-    for mono in _sorted_monomials(form):
-        scalar = form.terms[mono]
-        mono_str = _monomial_text(mono)
-        if not mono_str:
-            rendered.append(_scalar_text(scalar))
-        elif scalar == Scalar.one():
-            rendered.append(mono_str)
-        else:
-            rendered.append(f"{_scalar_text(scalar)}*{mono_str}")
-    return _join_signed(rendered)
-
-
-_PARAM_LATEX = {
-    "a1": r"\alpha_1",
-    "b1": r"\beta_1",
-    "a2": r"\alpha_2",
-    "b2": r"\beta_2",
-}
-_GENERATOR_LATEX = {
-    "eta1": r"\eta_1",
-    "eta2": r"\eta_2",
-    "Phi1": r"\Phi_1",
-    "Phi2": r"\Phi_2",
-}
-
-
-def _exponent_latex(e: int) -> str:
-    return f"^{e}" if e < 10 else f"^{{{e}}}"
-
-
-def _rational_latex(value: Fraction) -> str:
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    if value.denominator == 1:
-        return f"{sign}{value.numerator}"
-    return f"{sign}\\frac{{{value.numerator}}}{{{value.denominator}}}"
-
-
-def _scalar_term_latex(exps, coeff: Fraction) -> str:
-    if not any(exps):
-        return _rational_latex(coeff)
-    if coeff == 1:
-        head = ""
-    elif coeff == -1:
-        head = "-"
-    else:
-        head = _rational_latex(coeff)
-    body = "".join(
-        _PARAM_LATEX[name] + (_exponent_latex(e) if e > 1 else "")
-        for name, e in zip(PARAMS, exps)
-        if e
-    )
-    return head + body
-
-
-def _scalar_latex(scalar: Scalar) -> str:
-    entries = [
-        _scalar_term_latex(exps, scalar.terms[exps]) for exps in sorted(scalar.terms)
-    ]
-    if len(entries) == 1:
-        return entries[0]
-    return rf"\left({_join_signed(entries)}\right)"
-
-
-def _monomial_latex(mono: Monomial) -> str:
-    parts = []
-    for name, e in zip(GENERATORS, mono):
-        if e:
-            parts.append(_GENERATOR_LATEX[name] + (_exponent_latex(e) if e > 1 else ""))
-    return r"\wedge".join(parts)
+    return _render(_TEXT, form)
 
 
 def print_latex(form: Form) -> str:
-    if form.is_zero:
-        return "0"
-    rendered = []
-    for mono in _sorted_monomials(form):
-        scalar = form.terms[mono]
-        mono_str = _monomial_latex(mono)
-        if not mono_str:
-            rendered.append(_scalar_latex(scalar))
-            continue
-        coeff_str = _scalar_latex(scalar)
-        if coeff_str == "1":
-            rendered.append(mono_str)
-        elif coeff_str == "-1":
-            rendered.append(f"-{mono_str}")
-        else:
-            rendered.append(f"{coeff_str}\\,{mono_str}")
-    return _join_signed(rendered)
+    return _render(_LATEX, form)
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ class Scalar:
         terms, pins = self.terms.items(), []
         for idx, name in enumerate(PARAMS):
             if assign.get(name, 0) != 0:
-                pins.append((idx, _canon(Fraction(assign[name]))))
+                pins.append((idx, _canon(assign[name])))
             elif name in assign:
                 terms = [(e, c) for e, c in terms if not e[idx]]
         if not pins:
@@ -227,16 +227,10 @@ class Scalar:
         return total
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "Scalar(0)"
-        bits = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(PARAMS, exps) if e
-            )
-            bits.append(f"{coeff}*{mono}" if mono else str(coeff))
-        return f"Scalar({' + '.join(bits)})"
+        from .algebra import Form  # call-time imports: algebra and exprio import this module
+        from .exprio import print_text
+
+        return f"Scalar({print_text(Form.from_scalar(self))})"
 
 
 ZERO = Scalar.zero()

@@ -2,13 +2,15 @@
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from astheno.algebra import ETA1, Form, Monomial
+from astheno.algebra import ETA1, ETA2, Form, Monomial
 from astheno.audit import random_form
+from astheno.calculus import kahler_form
 from astheno.exprio import (
     MAX_NESTING,
     MAX_WORK,
@@ -20,7 +22,7 @@ from astheno.exprio import (
     print_text,
     to_record,
 )
-from astheno.scalars import Scalar
+from astheno.scalars import A1, A2, B1, B2, Scalar
 
 from conftest import forms
 
@@ -58,28 +60,90 @@ def test_parse_examples():
     assert parse("-1/2*eta2") == parse("(-1/2)*eta2")
 
 
-def test_print_text_golden():
-    from astheno.calculus import kahler_form
+_U = Monomial(0, 0, 0, 0)
+_ETA1_PHI1 = Monomial(1, 0, 1, 0)
 
-    assert print_text(Form.zero()) == "0"
-    assert print_text(kahler_form()) == r"Phi2 + Phi1 - 2*eta1/\eta2"
-    assert print_text(-1 * ETA1) == "-1*eta1"
-    from fractions import Fraction
+# (form, grammar text, LaTeX): one row per branch of the printers
+_PRINTED = [
+    pytest.param(Form.zero(), "0", "0", id="zero"),
+    pytest.param(Form.one(), "1", "1", id="one"),
+    pytest.param(Form.from_scalar(-1), "-1", "-1", id="minus-one"),
+    pytest.param(Form.from_scalar(Fraction(-1, 2)), "-1/2", r"-\frac{1}{2}", id="minus-half"),
+    pytest.param(ETA1, "eta1", r"\eta_1", id="unit-word"),
+    pytest.param(-1 * ETA1, "-1*eta1", r"-\eta_1", id="minus-unit-word"),
+    pytest.param(ETA2 - ETA1, "eta2 - 1*eta1", r"\eta_2 - \eta_1", id="minus-unit-joined"),
+    pytest.param(Form.from_scalar(-A1), "-1*a1", r"-\alpha_1", id="minus-param"),
+    pytest.param(
+        Form.monomial(Monomial(0, 0, 1, 0), -A1 * B2),
+        "-1*a1*b2*Phi1", r"-\alpha_1\beta_2\,\Phi_1", id="minus-param-word",
+    ),
+    pytest.param(
+        Form.monomial(Monomial(0, 1, 0, 0), Fraction(-1, 2)),
+        "-1/2*eta2", r"-\frac{1}{2}\,\eta_2", id="signed-fraction",
+    ),
+    pytest.param(
+        Form.monomial(Monomial(0, 0, 2, 0), Scalar({(1, 0, 0, 0): Fraction(1, 2)})),
+        "1/2*a1*Phi1^2", r"\frac{1}{2}\alpha_1\,\Phi_1^2", id="fraction-param",
+    ),
+    pytest.param(
+        Form.monomial(Monomial(0, 0, 9, 0), Scalar({(0, 0, 9, 0): 1})),
+        "a2^9*Phi1^9", r"\alpha_2^9\,\Phi_1^9", id="exponent-9",
+    ),
+    pytest.param(
+        Form.monomial(Monomial(0, 0, 0, 10), Scalar({(10, 0, 0, 0): -3})),
+        "-3*a1^10*Phi2^10", r"-3\alpha_1^{10}\,\Phi_2^{10}", id="exponent-10",
+    ),
+    pytest.param(
+        Form.monomial(_ETA1_PHI1, -B2 + A1 - A1 * A2),
+        r"(-1*b2 + a1 - 1*a1*a2)*eta1/\Phi1",
+        r"\left(-\beta_2 + \alpha_1 - \alpha_1\alpha_2\right)\,\eta_1\wedge\Phi_1",
+        id="group-negative-first",
+    ),
+    pytest.param(
+        Form({_U: A1 - B1 * B1, Monomial(0, 0, 1, 0): 1, Monomial(1, 1, 0, 0): Fraction(-2, 3)}),
+        r"(-1*b1^2 + a1) + Phi1 - 2/3*eta1/\eta2",
+        r"\left(-\beta_1^2 + \alpha_1\right) + \Phi_1 - \frac{2}{3}\,\eta_1\wedge\eta_2",
+        id="group-constant",
+    ),
+    pytest.param(
+        kahler_form(), r"Phi2 + Phi1 - 2*eta1/\eta2", r"\Phi_2 + \Phi_1 - 2\,\eta_1\wedge\eta_2",
+        id="kahler",
+    ),
+    pytest.param(
+        Form.monomial(Monomial(1, 1, 1, 0), Scalar({(0, 2, 0, 1): 3})),
+        r"3*b1^2*b2*eta1/\eta2/\Phi1",
+        r"3\beta_1^2\beta_2\,\eta_1\wedge\eta_2\wedge\Phi_1",
+        id="mixed",
+    ),
+]
 
-    half = Form.monomial(Monomial(0, 0, 2, 0), Scalar({(1, 0, 0, 0): Fraction(1, 2)}))
-    assert print_text(half) == "1/2*a1*Phi1^2"
+
+@pytest.mark.parametrize("form, text, latex", _PRINTED)
+def test_print_text_golden(form, text, latex):
+    assert print_text(form) == text
+    assert parse(text) == form
 
 
-def test_print_latex_golden():
-    from astheno.calculus import kahler_form
+@pytest.mark.parametrize("form, text, latex", _PRINTED)
+def test_print_latex_golden(form, text, latex):
+    assert print_latex(form) == latex
 
-    assert print_latex(Form.zero()) == "0"
-    assert (
-        print_latex(kahler_form())
-        == r"\Phi_2 + \Phi_1 - 2\,\eta_1\wedge\eta_2"
-    )
-    mixed = Form.monomial(Monomial(1, 1, 1, 0), Scalar({(0, 2, 0, 1): 3}))
-    assert print_latex(mixed) == r"3\beta_1^2\beta_2\,\eta_1\wedge\eta_2\wedge\Phi_1"
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        pytest.param(
+            Form({_U: A1 - B1 * B1, _ETA1_PHI1: Fraction(-1, 2) * A2}),
+            r"Form((-1*b1^2 + a1) - 1/2*a2*eta1/\Phi1)",
+            id="Form",
+        ),
+        pytest.param(A1 - Fraction(1, 3) * B2 * B2, "Scalar((-1/3*b2^2 + a1))", id="Scalar"),
+    ],
+)
+def test_repr_is_grammar_text(value, text):
+    assert repr(value) == text
+    inner = text[text.index("(") + 1 : -1]
+    assert parse(inner) == (value if isinstance(value, Form) else Form.from_scalar(value))
 
 
 @pytest.mark.parametrize(
@@ -119,6 +183,21 @@ def test_parse_takes_huge_exponents():
     assert parse(f"a1^{n}") == Form.from_scalar(Scalar({(n, 0, 0, 0): 1}))
     assert parse(f"eta2^{n}").is_zero
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("summand", ["a1^{}", "Phi1^{}"])
+def test_parse_long_sums_in_linear_time(summand):
+    # 30 000 summands, about 0.25-0.3 MB: one coefficient of 30 000 terms, or
+    # 30 000 words.  Linear time is about 1 s on 2 shared vCPUs; quadratic
+    # time, one copy of the running total per summand, is 7-10 s there
+    n = 30_000
+    text = "+".join(summand.format(i) for i in range(1, n + 1))
+    start = time.perf_counter()
+    form = parse(text)
+    assert time.perf_counter() - start < 3.0
+    assert sum(len(scalar.terms) for scalar in form.terms.values()) == n
+    assert parse(f"{text} - ({text})").is_zero
+    assert parse("a1 - a1 + 2*b1*eta1 - 3*b1*eta1 - eta1") == parse("-1*(b1 + 1)*eta1")
 
 
 def test_parse_limits_nesting():
