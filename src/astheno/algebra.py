@@ -239,9 +239,9 @@ class Form:
         return self.map_scalars(lambda s: s.substitute(assign))
 
     def __repr__(self) -> str:
-        from .exprio import print_text  # call-time import: exprio imports this module
+        from .exprio import _repr  # call-time import: exprio imports this module
 
-        return f"Form({print_text(self)})"
+        return _repr("Form", self)
 
 
 ETA1 = Form.monomial(Monomial(1, 0, 0, 0))

@@ -29,10 +29,13 @@ eta1 /\ eta2 is even and squares to zero and Phi1, Phi2 are central, so
     Omega^k = sum_p C(k,p) Phi1^p Phi2^(k-p)
               - 2k sum_p C(k-1,p) eta1 /\ eta2 /\ Phi1^p Phi2^(k-1-p)
 
-and truncation only bounds p.  A condition tensor thus costs O(m) word
-builds and a few d and J passes over forms of about five terms.  The audit
-still builds Omega^k with ``Form.power``, an independent check of this
-formula.
+and truncation only bounds p.  A tensor has two routes.  The reference,
+``condition_tensor``, costs O(m) word builds and a few d and J passes over
+forms of about five terms; ``classify``, ``check``, the tables and the audit
+take it.  ``scan`` takes ``_closed_tensor``: each tensor keeps at most five
+words after truncation, and their coefficients follow from the generator
+rules in O(1) Scalar operations and one binomial.  The audit still builds
+Omega^k with ``Form.power``, an independent check of this formula.
 """
 
 from __future__ import annotations
@@ -219,6 +222,62 @@ def condition_tensor(
             f"direct and expanded astheno tensors differ at {geom}"
         )
     return direct
+
+
+def _closed_tensor(kind: Condition, geom: ProductGeometry, convention: Convention) -> Form:
+    r"""condition_tensor(kind, geom, convention) for a truncating geometry, in
+    O(1) Scalar operations and at most one comb; the route of ``scan``.
+
+    Proof sketch.  A tensor has degree 2k + 2, and truncation keeps p <= m1,
+    q <= m2.  With W = Phi1^p Phi2^q, E = eta1 /\ eta2 and s = 1 graded, -1
+    ungraded, the generator rules give
+
+        d d_c W  = 2p a2 b1 W Phi2 - 2q a1 b2 W Phi1 + 4s (p^2 b1^2 + q^2 b2^2) E W
+        d d_c EW = -a1^2 W Phi1^2 - s a2^2 W Phi2^2 + 2s q a1 b2 EW Phi1 - 2p a2 b1 EW Phi2
+
+    * skt, and astheno at m = 3: k = 1, no word of Omega is truncated and d
+      never lowers a Phi exponent, so this is the ddc_omega display, truncated.
+    * gauduchon: k = m1 + m2, and only E Phi1^m1 Phi2^m2 survives.  The rules
+      summed against Omega^k, with k C(k-1, m1-1) = m1 C and k C(k-1, m1) = m2 C
+      for C = C(k, m1), give 4C (s m1^2 b1^2 + s m2^2 b2^2 + m1 m2 (b1 a2 - s a1 b2)).
+    * astheno, m >= 4: condition_tensor is the expansion k [D1 + (k-1) D2] /\
+      Omega^n, n = k - 2 (graded: the guard makes the direct value equal it).
+      Only Phi1^m1 Phi2^m2, E Phi1^(m1-1) Phi2^m2 and E Phi1^m1 Phi2^(m2-1)
+      survive, each a sum over the degree-6 words of the displays D1, D2 times
+      one word of Omega^n: C(n, p) on Phi1^p Phi2^(n-p) and -2n C(n-1, p) =
+      -2(n-p) C(n, p) on E Phi1^p Phi2^(n-1-p), where m1 - 4 <= p <= m1.
+    """
+    m1, m2 = geom.m1, geom.m2
+    displays = _displays(convention)
+    if kind is Condition.SKT or (kind is Condition.ASTHENO and m1 + m2 < 3):
+        return displays["ddc_omega"].truncate(geom)
+    if kind is Condition.GAUDUCHON:
+        c = 4 * comb(m1 + m2, m1)
+        signed = c if convention is Convention.GRADED else -c
+        coeff = {(0, 2, 0, 0): signed * m1 * m1, (0, 0, 0, 2): signed * m2 * m2,
+                 (0, 1, 1, 0): c * m1 * m2, (1, 0, 0, 1): -signed * m1 * m2}
+        return Form._of({Monomial(1, 1, m1, m2): Scalar._of(coeff)})
+    n, k = m1 + m2 - 3, m1 + m2 - 1
+    lo = max(0, m1 - 4)
+    binom, c = {}, comb(n, lo)  # C(n, p) for the p in reach, from one comb by ratio
+    for p in range(lo, min(n, m1) + 1):
+        binom[p] = c
+        c = c * (n - p) // (p + 1)
+    out: dict[Monomial, Scalar] = {}
+    for target in (Monomial(0, 0, m1, m2), Monomial(1, 1, m1 - 1, m2), Monomial(1, 1, m1, m2 - 1)):
+        eta, _, tp, _ = target
+        acc: dict = {}  # the displays' coefficients are integral
+        for name, weight in (("ddc_wedge_omega", k), ("d_wedge_dc", k * (k - 1))):
+            for (e, _, wp, _), s in displays[name].terms.items():
+                p = tp - wp
+                if e > eta or p not in binom:  # E /\ E = 0; Omega^n has no such word
+                    continue
+                c = weight * binom[p] * (1 if e == eta else -2 * (n - p))
+                for exps, coeff in s.terms.items():
+                    _accumulate(acc, exps, coeff * c)
+        if acc:
+            out[target] = Scalar._of(acc)
+    return Form._of(out)
 
 
 def wedge_identity_check(convention: Convention = Convention.GRADED):

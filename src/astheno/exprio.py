@@ -378,6 +378,15 @@ def print_latex(form: Form) -> str:
     return _render(_LATEX, form)
 
 
+def _repr(name: str, form: Form) -> str:
+    """``name(<grammar text>)``, the repr of a Form or Scalar; it must not raise."""
+    try:
+        return f"{name}({print_text(form)})"
+    except ValueError:
+        # a coefficient past the interpreter's int-to-str digit limit
+        return f"<{name} too long to print>"
+
+
 # ---------------------------------------------------------------------------
 # JSON records
 

@@ -228,9 +228,9 @@ class Scalar:
 
     def __repr__(self) -> str:
         from .algebra import Form  # call-time imports: algebra and exprio import this module
-        from .exprio import print_text
+        from .exprio import _repr
 
-        return f"Scalar({print_text(Form.from_scalar(self))})"
+        return _repr("Scalar", Form.from_scalar(self))
 
 
 ZERO = Scalar.zero()

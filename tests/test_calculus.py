@@ -11,6 +11,7 @@ from astheno.algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeome
 from astheno.calculus import (
     Condition,
     Convention,
+    _closed_tensor,
     _displays,
     _kahler_power,
     astheno_expansion,
@@ -23,6 +24,7 @@ from astheno.calculus import (
 )
 from astheno.scalars import A1, A2, B1, B2, PARAMS, Scalar
 from astheno import fixtures
+from astheno.cli import MAX_HALF_DIM
 from astheno.exprio import parse
 
 from conftest import forms, monomials, param_values, rationals, scalars
@@ -249,6 +251,33 @@ def test_condition_tensors_at_fifty(kind, convention):
     geom = ProductGeometry(50, 50)
     expected = parse(_TENSORS_AT_50[kind, convention])
     assert condition_tensor(kind, geom, convention) == expected
+
+
+# every small geometry, then the square, lopsided and prime ones far out
+_CLOSED_FORM_GEOMETRIES = [(m1, m2) for m1 in range(1, 17) for m2 in range(1, 17)] + [
+    (200, 200), (2048, 1), (1, 2048), (2048, 2048), (37, 3),
+]
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("kind", list(Condition))
+def test_closed_tensor_matches_condition_tensor(kind, convention):
+    for m1, m2 in _CLOSED_FORM_GEOMETRIES:
+        geom = ProductGeometry(m1, m2)
+        closed = _closed_tensor(kind, geom, convention)
+        assert closed == condition_tensor(kind, geom, convention), geom
+
+
+@given(
+    st.sampled_from(list(Condition)), st.sampled_from(list(Convention)),
+    st.integers(1, MAX_HALF_DIM), st.integers(1, MAX_HALF_DIM),
+)
+@settings(max_examples=40)
+def test_closed_tensor_at_random_geometries(kind, convention, m1, m2):
+    geom = ProductGeometry(m1, m2)
+    closed = _closed_tensor(kind, geom, convention)
+    _assert_canonical(closed)
+    assert closed == condition_tensor(kind, geom, convention)
 
 
 # Results built by Scalar._of and Form._of skip the constructors' validation,

@@ -9,8 +9,13 @@ from astheno.algebra import ProductGeometry
 from astheno.calculus import Condition, Convention, condition_tensor
 from astheno.classify import (
     KINDS,
+    PURE_KINDS,
     FactorStructure,
+    ScanCell,
     StructurePair,
+    _cosymplectic_only,
+    _unit_sasakian_cosymplectic,
+    _verdicts,
     analyze_residual,
     candidate_relations,
     classify,
@@ -234,6 +239,28 @@ def test_scan_cells_match_classify(condition, convention, ring_reduce):
             pure_pair(cell.factor1, cell.factor2), convention, ring_reduce,
         )
         assert (cell.verdict, cell.conditions) == (rep.verdict, rep.conditions), cell
+
+
+@pytest.mark.parametrize("ring_reduce", [True, False])
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("condition", list(Condition))
+def test_scan_matches_a_reference_loop_over_condition_tensor(condition, convention, ring_reduce):
+    # scan builds its tensors from closed forms; the reference judges every
+    # geometry's condition_tensor afresh
+    pairs = [pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
+    pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in pairs]
+    cells = []
+    for m1 in range(1, 7):
+        for m2 in range(1, 7):
+            tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
+            for pair, (_, verdict, analysis) in zip(pairs, _verdicts(tensor, pins, ring_reduce)):
+                cells.append(ScanCell(
+                    m1, m2, pair.factor1.kind, pair.factor2.kind, verdict, analysis.annihilating,
+                ))
+    report = scan(6, 6, condition, convention, ring_reduce)
+    assert report.cells == tuple(cells)
+    expected = (_cosymplectic_only(cells), _unit_sasakian_cosymplectic(cells))
+    assert report.propositions == (expected if condition is Condition.ASTHENO else ())
 
 
 @pytest.mark.parametrize(

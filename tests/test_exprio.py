@@ -147,6 +147,20 @@ def test_repr_is_grammar_text(value, text):
 
 
 @pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param(Form({_ETA1_PHI1: Fraction(1, 10**5000) * A1}), id="Form"),
+        pytest.param(Scalar({(0, 0, 0, 0): 10**5000}), id="Scalar"),
+    ],
+)
+def test_repr_survives_the_int_digit_limit(value):
+    # print_text raises ValueError past the interpreter's int-to-str limit
+    with pytest.raises(ValueError):
+        print_text(value if isinstance(value, Form) else Form.from_scalar(value))
+    assert repr(value) == f"<{type(value).__name__} too long to print>"
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "",

@@ -1,11 +1,12 @@
 """Printed output of the benchmark's commands against its golden digests.
 
 ``bench/golden.json`` holds the exit code and the stdout sha256 of every
-command the benchmark workloads can run.  This test runs the ones that print
-forms (every ``table``, every ``eval`` in text or LaTeX, every
-``check --format latex``) through ``cli.main`` and compares, so a printer
-change that moves one byte fails here and not only under the benchmark.
-The helpers are imported from ``bench/`` and used as they are.
+command the benchmark workloads can run.  This test runs through
+``cli.main`` the ones that print forms (every ``table``, every ``eval`` in
+text or LaTeX, every ``check --format latex``) and every ``scan``, and
+compares, so a printer change or a change of a scan's tensors that moves one
+byte fails here and not only under the benchmark.  The helpers are imported
+from ``bench/`` and used as they are.
 """
 
 import json
@@ -26,8 +27,8 @@ def _format(argv: list) -> str:
     return argv[argv.index("--format") + 1] if "--format" in argv else "text"
 
 
-def _prints_forms(argv: list) -> bool:
-    if argv[0] == "table":
+def _pinned(argv: list) -> bool:
+    if argv[0] in ("table", "scan"):
         return True
     if argv[0] == "eval":
         return _format(argv) in ("text", "latex")
@@ -40,9 +41,9 @@ def test_printed_output_matches_golden_digests():
         argv
         for workload in WORKLOADS
         for argv in pool_commands(workload, ROOT)
-        if _prints_forms(argv)
+        if _pinned(argv)
     ]
-    assert {argv[0] for argv in commands} == {"table", "eval", "check"}
+    assert {argv[0] for argv in commands} == {"table", "eval", "check", "scan"}
     mismatched = []
     for argv in commands:
         code, out = run_command(cli.main, argv)
