@@ -26,6 +26,21 @@ from .scalars import RationalLike, Scalar, _accumulate
 
 ScalarLike = Union[Scalar, int, Fraction]
 
+# a product costs about the product of its operands' sizes, and a parse or power
+# whose products sum past MAX_WORK is refused.  A size counts scalar terms, each
+# weighted by its coefficient's length in 64-bit words, so long literals count
+# too.  The costliest accepted inputs found, products of short sums with
+# fractional coefficients, take `eval` about 0.7 s (Python 3.11, 2-vCPU Xeon).
+MAX_WORK = 300_000
+
+
+def _size(form: "Form") -> int:
+    size = 0
+    for scalar in form.terms.values():
+        for c in scalar.terms.values():
+            size += 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+    return size
+
 
 class Monomial(NamedTuple):
     e1: int  # exponent of eta1 (0 or 1)
@@ -211,9 +226,14 @@ class Form:
                 return Form.monomial(
                     mono, Scalar({tuple(e * exponent for e in exps): coeff**exponent})
                 )
-        out = Form.one()
+        out, work, size = Form.one(), 0, _size(self)
         for _ in range(exponent):
+            work += _size(out) * size
+            if work > MAX_WORK:
+                raise ValueError(f"power too large: its products pass {MAX_WORK} units of work")
             out = out.wedge(self, geom)
+            if not out:  # and stays zero
+                break
         return out
 
     # -- quotients and substitution -------------------------------------------

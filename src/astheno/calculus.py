@@ -29,13 +29,12 @@ eta1 /\ eta2 is even and squares to zero and Phi1, Phi2 are central, so
     Omega^k = sum_p C(k,p) Phi1^p Phi2^(k-p)
               - 2k sum_p C(k-1,p) eta1 /\ eta2 /\ Phi1^p Phi2^(k-1-p)
 
-and truncation only bounds p.  A tensor has two routes.  The reference,
-``condition_tensor``, costs O(m) word builds and a few d and J passes over
-forms of about five terms; ``classify``, ``check``, the tables and the audit
-take it.  ``scan`` takes ``_closed_tensor``: each tensor keeps at most five
-words after truncation, and their coefficients follow from the generator
-rules in O(1) Scalar operations and one binomial.  The audit still builds
-Omega^k with ``Form.power``, an independent check of this formula.
+and truncation only bounds p.  One builder, ``_tensor``, serves ``scan`` and
+``condition_tensor``: the ddc_omega display at k = 1, a one-word Gauduchon
+formula, or ``astheno_expansion`` summed word by word.  ``condition_tensor``
+adds the graded guard: the direct astheno tensor must equal the built one, or
+it raises InternalInconsistencyError.  The audit still builds Omega^k with
+``Form.power``, an independent check of this formula.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from math import comb
 from types import MappingProxyType
 
 from .algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeometry
-from .scalars import A1, A2, B1, B2, Scalar, _accumulate
+from .scalars import _UNIT, A1, A2, B1, B2, Scalar, _accumulate
 
 
 class Convention(str, Enum):
@@ -149,7 +148,7 @@ def _kahler_power(k: int, geom: ProductGeometry | None = None) -> Form:
         lo, hi = (max(0, n - geom.m2), min(n, geom.m1)) if truncate else (0, n)
         coeff = scale * comb(n, lo)
         for p in range(lo, hi + 1):
-            terms[Monomial(eta, eta, p, n - p)] = Scalar.rational(coeff)
+            terms[Monomial(eta, eta, p, n - p)] = Scalar._of({_UNIT: coeff})
             coeff = coeff * (n - p) // (p + 1)
     return Form._of(terms)
 
@@ -182,51 +181,42 @@ def astheno_expansion(
 
     Closed-form route to d d_c Omega^k; provably equal to the direct value
     under the graded convention, and the route the reference tables took
-    under the ungraded one.
+    under the ungraded one.  Built word by word, with no wedge: each target
+    word sums the degree-6 words of the two displays, each times the word of
+    Omega^(k-2) that completes it; E = eta1 /\ eta2 below.
     """
     if k < 2:
         raise ValueError("expansion defined for k >= 2")
-    # the displays are untruncated; truncating once at the last wedge is the
-    # same, since d and wedge never lower a Phi exponent
-    displays = _displays(convention)
-    bracket = displays["ddc_wedge_omega"] + (k - 1) * displays["d_wedge_dc"]
-    return (k * bracket).wedge(_kahler_power(k - 2, geom), geom)
+    # targets E^t Phi1^p Phi2^(k+1-t-p), lo <= p <= hi; truncating them and
+    # Omega^(k-2) alone suffices, since d and wedge never lower a Phi exponent
+    m1, m2 = (geom.m1, geom.m2) if geom is not None and geom.truncate else (k + 1, k + 1)
+    spans = [(t, max(0, k + 1 - t - m2), min(k + 1 - t, m1)) for t in (0, 1)]
+    omega_n = {(w.e1, w.p): c.terms[_UNIT] for w, c in _kahler_power(k - 2, geom).terms.items()}
+    bracket: dict = {}  # (E exponent, Phi1 exponent) -> k D1 + k(k-1) D2, integral
+    for name, weight in (("ddc_wedge_omega", k), ("d_wedge_dc", k * (k - 1))):
+        for (e, _, wp, _), s in _displays(convention)[name].terms.items():
+            acc = bracket.setdefault((e, wp), {})
+            for exps, coeff in s.terms.items():
+                _accumulate(acc, exps, coeff * weight)
+    out: dict[Monomial, Scalar] = {}
+    for t, lo, hi in spans:
+        for tp in range(lo, hi + 1):
+            acc = {}
+            for (e, wp), s in bracket.items():
+                c = omega_n.get((t - e, tp - wp))
+                if c is None:  # E /\ E = 0, or Omega^(k-2) has no such word
+                    continue
+                for exps, coeff in s.items():
+                    _accumulate(acc, exps, coeff * c)
+            if acc:
+                out[Monomial(t, t, tp, k + 1 - t - tp)] = Scalar._of(acc)
+    return Form._of(out)
 
 
-def condition_tensor(
-    kind: Condition,
-    geom: ProductGeometry,
-    convention: Convention = Convention.GRADED,
-) -> Form:
-    """The obstruction form d d_c Omega^k whose vanishing defines the named
-    condition: k = 1 for skt, m - 2 for astheno and m - 1 for gauduchon.
-
-    For astheno with k >= 2 (m >= 4) the direct value and the expansion are
-    both computed; under the graded convention they must agree exactly
-    (anything else is an engine bug), and under the ungraded convention the
-    expansion is returned because the ungraded "rule" is not a derivation, so
-    only the expansion matches the route the reference tables were computed by.
-    """
-    kind = Condition(kind)
-    convention = Convention(convention)
-    m = geom.m
-    k = {Condition.SKT: 1, Condition.ASTHENO: m - 2, Condition.GAUDUCHON: m - 1}[kind]
-    if kind is not Condition.ASTHENO or k < 2:
-        return _ddc(_kahler_power(k, geom), convention, geom)
-    expanded = astheno_expansion(k, convention, geom)
-    if convention is Convention.UNGRADED:
-        return expanded
-    direct = _ddc(_kahler_power(k, geom), convention, geom)
-    if direct != expanded:
-        raise InternalInconsistencyError(
-            f"direct and expanded astheno tensors differ at {geom}"
-        )
-    return direct
-
-
-def _closed_tensor(kind: Condition, geom: ProductGeometry, convention: Convention) -> Form:
-    r"""condition_tensor(kind, geom, convention) for a truncating geometry, in
-    O(1) Scalar operations and at most one comb; the route of ``scan``.
+def _tensor(kind: Condition, geom: ProductGeometry, convention: Convention) -> Form:
+    r"""The tensor of ``condition_tensor``, built without its guard; the route of
+    ``scan``.  Where the geometry truncates it costs O(1) Scalar operations
+    and at most two combs.
 
     Proof sketch.  A tensor has degree 2k + 2, and truncation keeps p <= m1,
     q <= m2.  With W = Phi1^p Phi2^q, E = eta1 /\ eta2 and s = 1 graded, -1
@@ -240,44 +230,48 @@ def _closed_tensor(kind: Condition, geom: ProductGeometry, convention: Conventio
     * gauduchon: k = m1 + m2, and only E Phi1^m1 Phi2^m2 survives.  The rules
       summed against Omega^k, with k C(k-1, m1-1) = m1 C and k C(k-1, m1) = m2 C
       for C = C(k, m1), give 4C (s m1^2 b1^2 + s m2^2 b2^2 + m1 m2 (b1 a2 - s a1 b2)).
-    * astheno, m >= 4: condition_tensor is the expansion k [D1 + (k-1) D2] /\
-      Omega^n, n = k - 2 (graded: the guard makes the direct value equal it).
-      Only Phi1^m1 Phi2^m2, E Phi1^(m1-1) Phi2^m2 and E Phi1^m1 Phi2^(m2-1)
-      survive, each a sum over the degree-6 words of the displays D1, D2 times
-      one word of Omega^n: C(n, p) on Phi1^p Phi2^(n-p) and -2n C(n-1, p) =
-      -2(n-p) C(n, p) on E Phi1^p Phi2^(n-1-p), where m1 - 4 <= p <= m1.
+      An untruncated geometry takes d d_c Omega^k directly.
+    * astheno, m >= 4: the expansion (graded: condition_tensor's guard makes
+      the direct value equal it).  Truncated, only Phi1^m1 Phi2^m2,
+      E Phi1^(m1-1) Phi2^m2 and E Phi1^m1 Phi2^(m2-1) survive.
     """
     m1, m2 = geom.m1, geom.m2
-    displays = _displays(convention)
     if kind is Condition.SKT or (kind is Condition.ASTHENO and m1 + m2 < 3):
-        return displays["ddc_omega"].truncate(geom)
-    if kind is Condition.GAUDUCHON:
-        c = 4 * comb(m1 + m2, m1)
-        signed = c if convention is Convention.GRADED else -c
-        coeff = {(0, 2, 0, 0): signed * m1 * m1, (0, 0, 0, 2): signed * m2 * m2,
-                 (0, 1, 1, 0): c * m1 * m2, (1, 0, 0, 1): -signed * m1 * m2}
-        return Form._of({Monomial(1, 1, m1, m2): Scalar._of(coeff)})
-    n, k = m1 + m2 - 3, m1 + m2 - 1
-    lo = max(0, m1 - 4)
-    binom, c = {}, comb(n, lo)  # C(n, p) for the p in reach, from one comb by ratio
-    for p in range(lo, min(n, m1) + 1):
-        binom[p] = c
-        c = c * (n - p) // (p + 1)
-    out: dict[Monomial, Scalar] = {}
-    for target in (Monomial(0, 0, m1, m2), Monomial(1, 1, m1 - 1, m2), Monomial(1, 1, m1, m2 - 1)):
-        eta, _, tp, _ = target
-        acc: dict = {}  # the displays' coefficients are integral
-        for name, weight in (("ddc_wedge_omega", k), ("d_wedge_dc", k * (k - 1))):
-            for (e, _, wp, _), s in displays[name].terms.items():
-                p = tp - wp
-                if e > eta or p not in binom:  # E /\ E = 0; Omega^n has no such word
-                    continue
-                c = weight * binom[p] * (1 if e == eta else -2 * (n - p))
-                for exps, coeff in s.terms.items():
-                    _accumulate(acc, exps, coeff * c)
-        if acc:
-            out[target] = Scalar._of(acc)
-    return Form._of(out)
+        return _displays(convention)["ddc_omega"].truncate(geom)
+    if kind is Condition.ASTHENO:
+        return astheno_expansion(m1 + m2 - 1, convention, geom)
+    if not geom.truncate:
+        return _ddc(_kahler_power(m1 + m2, geom), convention, geom)
+    c = 4 * comb(m1 + m2, m1)
+    signed = c if convention is Convention.GRADED else -c
+    coeff = {(0, 2, 0, 0): signed * m1 * m1, (0, 0, 0, 2): signed * m2 * m2,
+             (0, 1, 1, 0): c * m1 * m2, (1, 0, 0, 1): -signed * m1 * m2}
+    return Form._of({Monomial(1, 1, m1, m2): Scalar._of(coeff)})
+
+
+def condition_tensor(
+    kind: Condition,
+    geom: ProductGeometry,
+    convention: Convention = Convention.GRADED,
+) -> Form:
+    """The obstruction form d d_c Omega^k whose vanishing defines the named
+    condition: k = 1 for skt, m - 2 for astheno and m - 1 for gauduchon.
+
+    Built by ``_tensor``, which takes the expansion for astheno with k >= 2
+    (m >= 4).  Under the graded convention the direct value is computed too
+    and must agree exactly (anything else is an engine bug); under the
+    ungraded convention the expansion stands alone, because the ungraded
+    "rule" is not a derivation, so only the expansion matches the route the
+    reference tables were computed by.
+    """
+    kind = Condition(kind)
+    convention = Convention(convention)
+    tensor = _tensor(kind, geom, convention)
+    if kind is Condition.ASTHENO and geom.m >= 4 and convention is Convention.GRADED:
+        if _ddc(_kahler_power(geom.m - 2, geom), convention, geom) != tensor:
+            raise InternalInconsistencyError(
+                f"direct and expanded astheno tensors differ at {geom}")
+    return tensor
 
 
 def wedge_identity_check(convention: Convention = Convention.GRADED):

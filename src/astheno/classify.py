@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import fixtures
 from .algebra import Form, ProductGeometry
-from .calculus import Condition, Convention, _closed_tensor, condition_tensor
+from .calculus import Condition, Convention, _tensor, condition_tensor
 from .scalars import PARAMS, RATIONAL_TYPES
 
 # kind -> (the factor's parameters it forces to zero, those it makes nonzero)
@@ -405,12 +405,13 @@ def scan(
 ) -> ScanReport:
     """Verdict matrix over the pure structure pairs and half-dimensions.
 
-    The tensor is built once per geometry by ``calculus._closed_tensor``,
-    equal to ``condition_tensor`` in O(1) Scalar operations, and each distinct
-    tensor is judged once, its verdict row reused by every geometry where it
-    recurs (the skt tensor takes only four values over any grid).  The two
-    bundled propositions are evaluated over the scanned range when the
-    condition is astheno; other conditions carry no propositions.
+    The tensor is built once per geometry by ``calculus._tensor``, the
+    builder of ``condition_tensor`` without its graded guard, in O(1) Scalar
+    operations, and each distinct tensor is judged once, its verdict row
+    reused by every geometry where it recurs (the skt tensor takes only four
+    values over any grid).  The two bundled propositions are evaluated over
+    the scanned range when the condition is astheno; other conditions carry
+    no propositions.
     """
     condition = Condition(condition)
     convention = Convention(convention)
@@ -420,7 +421,7 @@ def scan(
     cells = []
     for m1 in range(1, max_m1 + 1):
         for m2 in range(1, max_m2 + 1):
-            tensor = _closed_tensor(condition, ProductGeometry(m1, m2), convention)
+            tensor = _tensor(condition, ProductGeometry(m1, m2), convention)
             key = frozenset((mono, frozenset(s.terms.items())) for mono, s in tensor.terms.items())
             row = rows.get(key)
             if row is None:

@@ -11,7 +11,7 @@ with params ``a1 b1 a2 b2``, generators ``eta1 eta2 Phi1 Phi2`` and rationals
 product; scalars are degree-0 forms, so ``2*b1*a2*Phi2/\Phi1`` parses to the
 canonical ``2*b1*a2*Phi1/\Phi2``.  Parentheses nest at most
 ``MAX_NESTING`` deep, and the products of one parse do at most ``MAX_WORK``
-units of work.
+(from ``algebra``) units of work.
 
 Printing is deterministic (terms ordered by degree then exponent word,
 coefficient monomials by exponent vector) and round-trips exactly:
@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .algebra import Form, Monomial
+from .algebra import MAX_WORK, Form, Monomial, _size
 from .scalars import _UNIT, PARAMS, Scalar, _accumulate
 
 GENERATORS = ("eta1", "eta2", "Phi1", "Phi2")
@@ -129,21 +129,6 @@ def _tokenize(text: str) -> list:
 # parentheses nest by recursion, three frames a level; deeper input is
 # refused with a ParseError rather than left to exhaust the stack
 MAX_NESTING = 100
-
-# a product costs about the product of its operands' sizes, and a parse whose
-# products sum past MAX_WORK is refused.  A size counts scalar terms, each
-# weighted by its coefficient's length in 64-bit words, so long literals count
-# too.  The costliest accepted inputs found, products of short sums with
-# fractional coefficients, take `eval` about 0.7 s (Python 3.11, 2-vCPU Xeon).
-MAX_WORK = 300_000
-
-
-def _size(form: Form) -> int:
-    size = 0
-    for scalar in form.terms.values():
-        for c in scalar.terms.values():
-            size += 1 + (c.numerator.bit_length() + c.denominator.bit_length()) // 64
-    return size
 
 
 class _Parser:

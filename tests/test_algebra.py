@@ -123,6 +123,18 @@ def test_word_power_takes_huge_exponents():
     assert time.perf_counter() - start < 1.0
 
 
+def test_power_loop_is_bounded():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="power too large"):
+        (PHI1 + PHI2).power(10**6)
+    # one word whose coefficient grows is charged as well
+    with pytest.raises(ValueError, match="power too large"):
+        Form.from_scalar(A1 + 1).power(10**6)
+    # a power that reaches zero stops there
+    assert (ETA1 + ETA2).power(10**9).is_zero
+    assert time.perf_counter() - start < 1.0
+
+
 def test_power_rejects_negative():
     with pytest.raises(ValueError):
         PHI1.power(-1)

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from astheno import calculus
 from astheno.algebra import ETA1, ETA2, PHI1, PHI2, Form, Monomial, ProductGeometry
 from astheno.calculus import (
     Condition,
     Convention,
-    _closed_tensor,
+    InternalInconsistencyError,
+    _ddc,
     _displays,
     _kahler_power,
+    _tensor,
     astheno_expansion,
     condition_tensor,
     d_c,
@@ -24,6 +27,7 @@ from astheno.calculus import (
 )
 from astheno.scalars import A1, A2, B1, B2, PARAMS, Scalar
 from astheno import fixtures
+from astheno.classify import scan
 from astheno.cli import MAX_HALF_DIM
 from astheno.exprio import parse
 
@@ -167,10 +171,56 @@ def test_condition_tensor_accepts_strings():
         condition_tensor("pluriclosed-ish", geom)
 
 
+def _wedge_expansion(k, convention, geom=None):
+    """The expansion identity as one wedge, the reference for astheno_expansion."""
+    displays = _displays(convention)
+    bracket = displays["ddc_wedge_omega"] + (k - 1) * displays["d_wedge_dc"]
+    return (k * bracket).wedge(_kahler_power(k - 2, geom), geom)
+
+
+def _reference_tensor(kind, geom, convention):
+    """A condition tensor by a route other than the builder's: d d_c Omega^k
+    directly, except astheno under the ungraded rule, which the expansion
+    defines, taken here as one wedge."""
+    k = {Condition.SKT: 1, Condition.ASTHENO: geom.m - 2, Condition.GAUDUCHON: geom.m - 1}[kind]
+    if kind is Condition.ASTHENO and k >= 2 and convention is Convention.UNGRADED:
+        return _wedge_expansion(k, convention, geom)
+    return _ddc(_kahler_power(k, geom), convention, geom)
+
+
 def test_astheno_ungraded_takes_the_expansion_route():
     geom = ProductGeometry(2, 2).untruncated()
     tensor = condition_tensor(Condition.ASTHENO, geom, Convention.UNGRADED)
-    assert tensor == astheno_expansion(geom.m - 2, Convention.UNGRADED, geom)
+    assert tensor == _wedge_expansion(geom.m - 2, Convention.UNGRADED, geom)
+    # the ungraded rule is no derivation: the direct value is another form
+    assert tensor != _ddc(_kahler_power(geom.m - 2, geom), Convention.UNGRADED, geom)
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_expansion_matches_the_wedge_at_every_power(convention):
+    for m1 in range(1, 9):
+        for m2 in range(1, 9):
+            for geom in (ProductGeometry(m1, m2), ProductGeometry(m1, m2, False), None):
+                for k in range(2, m1 + m2 + 3):
+                    expected = _wedge_expansion(k, convention, geom)
+                    assert astheno_expansion(k, convention, geom) == expected, (geom, k)
+
+
+def test_guard_fires_when_the_routes_disagree(monkeypatch):
+    geom = ProductGeometry(3, 3)
+    extra = Form.monomial(Monomial(0, 0, 3, 3), A1)
+    expansion = calculus.astheno_expansion
+
+    def patched(k, convention, geom=None):
+        return expansion(k, convention, geom) + extra
+
+    monkeypatch.setattr(calculus, "astheno_expansion", patched)
+    with pytest.raises(InternalInconsistencyError):
+        condition_tensor(Condition.ASTHENO, geom)
+    ungraded = condition_tensor(Condition.ASTHENO, geom, Convention.UNGRADED)
+    assert ungraded == expansion(geom.m - 2, Convention.UNGRADED, geom) + extra
+    # scan takes the builder without the guard
+    scan(3, 3)
 
 
 @pytest.mark.parametrize("truncate", (True, False))
@@ -253,19 +303,23 @@ def test_condition_tensors_at_fifty(kind, convention):
     assert condition_tensor(kind, geom, convention) == expected
 
 
-# every small geometry, then the square, lopsided and prime ones far out
-_CLOSED_FORM_GEOMETRIES = [(m1, m2) for m1 in range(1, 17) for m2 in range(1, 17)] + [
-    (200, 200), (2048, 1), (1, 2048), (2048, 2048), (37, 3),
-]
+# every small geometry, then the square, lopsided and prime ones far out, then
+# untruncated ones
+_CLOSED_FORM_GEOMETRIES = [
+    ProductGeometry(m1, m2) for m1 in range(1, 17) for m2 in range(1, 17)
+] + [
+    ProductGeometry(m1, m2)
+    for m1, m2 in ((200, 200), (2048, 1), (1, 2048), (2048, 2048), (37, 3))
+] + [ProductGeometry(m1, m2, False) for m1 in range(1, 5) for m2 in range(1, 5)]
 
 
 @pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("kind", list(Condition))
 def test_closed_tensor_matches_condition_tensor(kind, convention):
-    for m1, m2 in _CLOSED_FORM_GEOMETRIES:
-        geom = ProductGeometry(m1, m2)
-        closed = _closed_tensor(kind, geom, convention)
-        assert closed == condition_tensor(kind, geom, convention), geom
+    for geom in _CLOSED_FORM_GEOMETRIES:
+        expected = _reference_tensor(kind, geom, convention)
+        assert _tensor(kind, geom, convention) == expected, geom
+        assert condition_tensor(kind, geom, convention) == expected, geom
 
 
 @given(
@@ -275,9 +329,9 @@ def test_closed_tensor_matches_condition_tensor(kind, convention):
 @settings(max_examples=40)
 def test_closed_tensor_at_random_geometries(kind, convention, m1, m2):
     geom = ProductGeometry(m1, m2)
-    closed = _closed_tensor(kind, geom, convention)
+    closed = _tensor(kind, geom, convention)
     _assert_canonical(closed)
-    assert closed == condition_tensor(kind, geom, convention)
+    assert closed == _reference_tensor(kind, geom, convention)
 
 
 # Results built by Scalar._of and Form._of skip the constructors' validation,
