@@ -80,6 +80,8 @@ class ProductGeometry:
     def __post_init__(self) -> None:
         if type(self.m1) is not int or type(self.m2) is not int:
             raise TypeError(f"half-dimensions must be ints, got m1={self.m1!r}, m2={self.m2!r}")
+        if type(self.truncate) is not bool:
+            raise TypeError(f"truncate must be a bool, got {self.truncate!r}")
         if self.m1 < 1 or self.m2 < 1:
             raise ValueError(
                 f"factor half-dimensions must be >= 1, got m1={self.m1}, m2={self.m2}"
@@ -211,6 +213,8 @@ class Form:
         return Form._of(out)
 
     def power(self, exponent: int, geom: ProductGeometry | None = None) -> "Form":
+        if type(exponent) is not int:
+            raise TypeError(f"exponent must be an int, not {type(exponent)}")
         if exponent < 0:
             raise ValueError("negative exponent")
         if exponent and len(self.terms) == 1:

@@ -24,12 +24,12 @@ from .algebra import Form, ProductGeometry
 from .calculus import Condition, Convention, _tensor, condition_tensor
 from .scalars import PARAMS, RATIONAL_TYPES
 
-# kind -> (the factor's parameters it forces to zero, those it makes nonzero)
+# kind -> what it forces on the factor's (alpha, beta): "zero", "nonzero" or nothing
 _KIND_PARAMS = {
-    "sasakian": (("beta",), ("alpha",)),
-    "kenmotsu": (("alpha",), ("beta",)),
-    "cosymplectic": (("alpha", "beta"), ()),
-    "trans-sasakian": ((), ()),
+    "sasakian": ("nonzero", "zero"),
+    "kenmotsu": ("zero", "nonzero"),
+    "cosymplectic": ("zero", "zero"),
+    "trans-sasakian": (None, None),
 }
 PURE_KINDS = ("sasakian", "kenmotsu", "cosymplectic")
 KINDS = tuple(_KIND_PARAMS)
@@ -37,6 +37,13 @@ KINDS = tuple(_KIND_PARAMS)
 VERDICT_ZERO = "identically-zero"
 VERDICT_NONZERO = "nonzero"
 VERDICT_CONDITIONAL = "conditionally-zero"
+
+
+def _slots(factors):
+    """Each parameter as (name, slot, pin or None, what its kind forces), slots a1, b1, a2, b2."""
+    for idx, factor in enumerate(factors, 1):
+        for name, forced in zip(("alpha", "beta"), _KIND_PARAMS[factor.kind]):
+            yield name, f"{name[0]}{idx}", getattr(factor, name), forced
 
 
 @dataclass(frozen=True)
@@ -50,23 +57,16 @@ class FactorStructure:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown structure kind {self.kind!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
+        params = list(_slots((self,)))
+        for name, _, value, _ in params:
             if value is not None and type(value) not in RATIONAL_TYPES:
                 raise TypeError(f"{name} pin must be int or Fraction, not {type(value)}")
-        for name in self.zero_names():
-            value = getattr(self, name)
-            if value is not None and value != 0:
+        for name, _, value, forced in params:
+            if forced == "zero" and value is not None and value != 0:
                 raise ValueError(f"{self.kind} forces {name} = 0, cannot pin {name} = {value}")
-        for name in self.nonzero_names():
-            if getattr(self, name) == 0:
+        for name, _, value, forced in params:
+            if forced == "nonzero" and value == 0:
                 raise ValueError(f"{self.kind} has {name} != 0, cannot pin {name} = 0")
-
-    def zero_names(self) -> tuple:
-        return _KIND_PARAMS[self.kind][0]
-
-    def nonzero_names(self) -> tuple:
-        return _KIND_PARAMS[self.kind][1]
 
 
 @dataclass(frozen=True)
@@ -76,25 +76,14 @@ class StructurePair:
 
     def assignment(self) -> dict:
         """Numeric substitution implied by the kinds and any explicit pins."""
-        out: dict[str, int | Fraction] = {}
-        for idx, factor in ((1, self.factor1), (2, self.factor2)):
-            slots = {"alpha": f"a{idx}", "beta": f"b{idx}"}
-            for name in factor.zero_names():
-                out[slots[name]] = 0
-            for name, param in slots.items():
-                value = getattr(factor, name)
-                if value is not None:
-                    out[param] = value
-        return out
+        pins = _slots((self.factor1, self.factor2))
+        return {slot: 0 if value is None else value
+                for _, slot, value, forced in pins if value is not None or forced == "zero"}
 
     def forbidden_zero_params(self) -> frozenset:
         """Parameters no conditional verdict may set to zero."""
-        names = set()
-        for idx, factor in ((1, self.factor1), (2, self.factor2)):
-            slots = {"alpha": f"a{idx}", "beta": f"b{idx}"}
-            for name in factor.nonzero_names():
-                names.add(slots[name])
-        return frozenset(names)
+        slots = _slots((self.factor1, self.factor2))
+        return frozenset(slot for _, slot, _, forced in slots if forced == "nonzero")
 
 
 def pure_pair(kind1: str, kind2: str) -> StructurePair:
@@ -293,7 +282,7 @@ def reproduce_table(table_id: int, convention: Convention | str = Convention.GRA
     shadow = condition_tensor(Condition.ASTHENO, free, _other(convention))
     rows = []
     for fixture_row in table.rows:
-        sub = fixture_row.zero_substitution()
+        sub = pure_pair(fixture_row.factor1, fixture_row.factor2).assignment()
         engine = primary.substitute(sub)
         other = shadow.substitute(sub)
         expected = fixture_row.form
@@ -357,43 +346,29 @@ class ScanReport:
         return all(p.holds for p in self.propositions)
 
 
-def _cosymplectic_only(cells) -> Proposition:
-    bad = tuple(
-        cell
-        for cell in cells
-        if cell.m1 >= 2
-        and cell.m2 >= 2
-        and (cell.factor1 == cell.factor2 == "cosymplectic") != (cell.verdict == VERDICT_ZERO)
-    )
-    return Proposition(
-        name="cosymplectic-only",
-        statement=(
-            "once both factors have half-dimension at least 2, the tensor "
-            "vanishes identically only for a cosymplectic pair"
-        ),
-        holds=not bad,
-        counterexamples=bad,
-    )
+# name, statement, the cells it covers, and when a covered cell must vanish
+_PROPOSITIONS = (
+    ("cosymplectic-only",
+     "once both factors have half-dimension at least 2, the tensor "
+     "vanishes identically only for a cosymplectic pair",
+     lambda cell: cell.m1 >= 2 and cell.m2 >= 2,
+     lambda cell: cell.factor1 == cell.factor2 == "cosymplectic"),
+    ("unit-sasakian-cosymplectic",
+     "a sasakian times cosymplectic product vanishes exactly when the "
+     "sasakian factor has half-dimension 1",
+     lambda cell: {cell.factor1, cell.factor2} == {"sasakian", "cosymplectic"},
+     lambda cell: (cell.m1 if cell.factor1 == "sasakian" else cell.m2) == 1),
+)
 
 
-def _unit_sasakian_cosymplectic(cells) -> Proposition:
-    bad = []
-    for cell in cells:
-        kinds = sorted((cell.factor1, cell.factor2))
-        if kinds != ["cosymplectic", "sasakian"]:
-            continue
-        sas_halfdim = cell.m1 if cell.factor1 == "sasakian" else cell.m2
-        if (sas_halfdim == 1) != (cell.verdict == VERDICT_ZERO):
-            bad.append(cell)
-    return Proposition(
-        name="unit-sasakian-cosymplectic",
-        statement=(
-            "a sasakian times cosymplectic product vanishes exactly when the "
-            "sasakian factor has half-dimension 1"
-        ),
-        holds=not bad,
-        counterexamples=tuple(bad),
-    )
+def _propositions(cells) -> tuple:
+    """Each bundled proposition judged over the cells; its counterexamples are
+    the covered cells whose vanishing differs from what it says."""
+    out = []
+    for name, statement, covers, vanishes in _PROPOSITIONS:
+        bad = tuple(c for c in cells if covers(c) and vanishes(c) != (c.verdict == VERDICT_ZERO))
+        out.append(Proposition(name, statement, not bad, bad))
+    return tuple(out)
 
 
 def scan(
@@ -434,8 +409,5 @@ def scan(
                     ScanCell(m1, m2, pair.factor1.kind, pair.factor2.kind, verdict, conditions)
                 )
     cells = tuple(cells)
-    if condition is Condition.ASTHENO:
-        propositions = (_cosymplectic_only(cells), _unit_sasakian_cosymplectic(cells))
-    else:
-        propositions = ()
+    propositions = _propositions(cells) if condition is Condition.ASTHENO else ()
     return ScanReport(condition, convention, max_m1, max_m2, cells, propositions)

@@ -1,9 +1,9 @@
 """Bundled reference expressions: ten case tables plus five derivation displays.
 
 Everything in data/reference_tables.json is transcribed verbatim, typos
-included; anomalies carry a descriptive ``note``. The comparison logic in
-:mod:`astheno.classify` decides how each row relates to the engine output,
-so nothing is silently corrected here.
+included; anomalies carry a descriptive ``note``, and the rows' printed 0/1
+header flags are kept but not loaded. :mod:`astheno.classify` decides how
+each row relates to the engine output, so nothing is silently corrected here.
 """
 
 from __future__ import annotations
@@ -25,23 +25,9 @@ class RowFixture:
     row: int
     factor1: str
     factor2: str
-    # printed 0/1 header flags, in column order alpha1 alpha2 beta1 beta2
-    alpha1: int
-    alpha2: int
-    beta1: int
-    beta2: int
     expr: str
     form: Form = field(compare=False)
     note: str | None = None
-
-    def zero_substitution(self) -> dict:
-        """Parameters whose header column prints 0, pinned to 0.
-
-        Columns printing 1 stay symbolic: the row bodies keep those
-        parameters as symbols rather than substituting a literal 1.
-        """
-        flags = {"a1": self.alpha1, "a2": self.alpha2, "b1": self.beta1, "b2": self.beta2}
-        return {name: 0 for name, printed in flags.items() if not printed}
 
     @property
     def is_printed_zero(self) -> bool:
@@ -102,10 +88,6 @@ def _tables() -> dict:
                     row=row["row"],
                     factor1=row["factor1"],
                     factor2=row["factor2"],
-                    alpha1=row["alpha1"],
-                    alpha2=row["alpha2"],
-                    beta1=row["beta1"],
-                    beta2=row["beta2"],
                     expr=row["expr"],
                     form=parse(row["expr"]),
                     note=row.get("note"),

@@ -46,6 +46,21 @@ def _accumulate(out: dict, key, coeff) -> None:
         out.pop(key, None)
 
 
+def _index(name: str) -> int:
+    if name not in PARAMS:
+        raise ValueError(f"unknown parameter {name!r}")
+    return PARAMS.index(name)
+
+
+def _check_pins(assign: Mapping) -> None:
+    """The pin policy of substitute and evaluate: known names, exact values."""
+    for name, value in assign.items():
+        if name not in PARAMS:  # not _index: this runs for every coefficient substituted
+            raise ValueError(f"unknown parameter {name!r}")
+        if type(value) not in RATIONAL_TYPES:
+            raise TypeError(f"pin {name} must be int or Fraction, not {type(value)}")
+
+
 def _is_mixed(exps: Exps) -> bool:
     # dropped by ring reduction: mixes a_i with b_i for the same factor
     return bool(exps[0] and exps[1]) or bool(exps[2] and exps[3])
@@ -84,19 +99,13 @@ class Scalar:
         return cls()
 
     @classmethod
-    def one(cls) -> "Scalar":
-        return cls({_UNIT: 1})
-
-    @classmethod
     def rational(cls, value: RationalLike) -> "Scalar":
         return cls({_UNIT: value})
 
     @classmethod
     def param(cls, name: str) -> "Scalar":
-        if name not in PARAMS:
-            raise ValueError(f"unknown parameter {name!r}")
         exps = [0, 0, 0, 0]
-        exps[PARAMS.index(name)] = 1
+        exps[_index(name)] = 1
         return cls({tuple(exps): 1})
 
     # -- predicates --------------------------------------------------------
@@ -173,11 +182,7 @@ class Scalar:
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Scalar":
         """Partially evaluate: pinned parameters get values, others stay.  A zero
         pin does no arithmetic: the terms it occurs in drop, the rest stay as is."""
-        for name, value in assign.items():
-            if name not in PARAMS:
-                raise ValueError(f"unknown parameter {name!r}")
-            if type(value) not in RATIONAL_TYPES:
-                raise TypeError(f"pin {name} must be int or Fraction, not {type(value)}")
+        _check_pins(assign)
         terms, pins = self.terms.items(), []
         for idx, name in enumerate(PARAMS):
             if assign.get(name, 0) != 0:
@@ -200,7 +205,7 @@ class Scalar:
         """Impose src = sign*dst by eliminating src in favour of dst."""
         if src == dst:
             raise ValueError("src and dst must differ")
-        si, di = PARAMS.index(src), PARAMS.index(dst)
+        si, di = _index(src), _index(dst)
         out: dict[Exps, RationalLike] = {}
         for exps, coeff in self.terms.items():
             new_exps = list(exps)
@@ -213,6 +218,7 @@ class Scalar:
 
     def evaluate(self, values: Mapping[str, RationalLike]) -> Fraction:
         """Total evaluation; every parameter that occurs must be given."""
+        _check_pins(values)
         missing = self.params_present() - set(values)
         if missing:
             raise ValueError(f"missing values for {sorted(missing)}")

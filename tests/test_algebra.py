@@ -1,6 +1,7 @@
 """Graded-commutative algebra laws, truncation, and geometry bookkeeping."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -43,6 +44,10 @@ def test_geometry_validation():
     for m1, m2 in ((1.5, 2), (2.0, 2), (True, 2), (2, False), ("2", 2)):
         with pytest.raises(TypeError):
             ProductGeometry(m1, m2)
+    # a non-bool switch would truncate by its truthiness
+    for truncate in ("no", 1, 0, None):
+        with pytest.raises(TypeError):
+            ProductGeometry(1, 1, truncate)
     geom = ProductGeometry(2, 3)
     assert geom.m == 6
     assert geom.untruncated().truncate is False
@@ -138,6 +143,13 @@ def test_power_loop_is_bounded():
 def test_power_rejects_negative():
     with pytest.raises(ValueError):
         PHI1.power(-1)
+
+
+def test_power_takes_only_int_exponents():
+    # True would act as 1, 2.0 would fail later on the exponent keys
+    for exponent in (True, False, 2.0, Fraction(2), "2"):
+        with pytest.raises(TypeError, match="exponent must be an int"):
+            PHI1.power(exponent)
 
 
 @given(forms(), st.sampled_from(GEOMETRIES))

@@ -5,16 +5,18 @@ from fractions import Fraction
 
 import pytest
 
+from astheno import fixtures
 from astheno.algebra import ProductGeometry
 from astheno.calculus import Condition, Convention, condition_tensor
 from astheno.classify import (
     KINDS,
     PURE_KINDS,
+    VERDICT_NONZERO,
+    VERDICT_ZERO,
     FactorStructure,
     ScanCell,
     StructurePair,
-    _cosymplectic_only,
-    _unit_sasakian_cosymplectic,
+    _propositions,
     _verdicts,
     analyze_residual,
     candidate_relations,
@@ -197,6 +199,28 @@ def test_printed_zero_rows_match_engine():
             assert row.printed_zero == row.engine_zero_truncated, (table_id, row.row)
 
 
+def test_header_flags_match_the_kind_pins():
+    # reproduce_table pins each row by its kinds; the printed 0/1 header flags,
+    # kept verbatim in the data, must name the same zero parameters
+    rows = [(t["id"], row) for t in fixtures._raw()["tables"] for row in t["rows"]]
+    assert len(rows) == 90
+    for table_id, row in rows:
+        flags = {"a1": row["alpha1"], "a2": row["alpha2"], "b1": row["beta1"], "b2": row["beta2"]}
+        assert set(flags.values()) <= {0, 1}, (table_id, row["row"])
+        pins = pure_pair(row["factor1"], row["factor2"]).assignment()
+        zeros = {name for name, value in pins.items() if value == 0}
+        assert {name for name, printed in flags.items() if not printed} == zeros, (
+            table_id, row["row"])
+
+
+def test_tables_print_the_astheno_power():
+    # reproduce_table always judges the astheno tensor, d d_c Omega^(m1 + m2 - 1)
+    tables = fixtures._raw()["tables"]
+    assert len(tables) == 10
+    for table in tables:
+        assert table["power"] == table["m1"] + table["m2"] - 1, table["id"]
+
+
 def test_cosymplectic_rows_reproduce_exactly():
     # the all-zero structure kills every parameter, so row 9 of each table
     # must be exact under either convention
@@ -259,8 +283,8 @@ def test_scan_matches_a_reference_loop_over_condition_tensor(condition, conventi
                 ))
     report = scan(6, 6, condition, convention, ring_reduce)
     assert report.cells == tuple(cells)
-    expected = (_cosymplectic_only(cells), _unit_sasakian_cosymplectic(cells))
-    assert report.propositions == (expected if condition is Condition.ASTHENO else ())
+    expected = _propositions(cells) if condition is Condition.ASTHENO else ()
+    assert report.propositions == expected
 
 
 @pytest.mark.parametrize(
@@ -280,6 +304,30 @@ def test_scan_judges_each_distinct_tensor_once(monkeypatch, max_m1, max_m2, cond
     report = scan(max_m1, max_m2, condition)
     assert len(calls) == judged
     assert len(report.cells) == max_m1 * max_m2 * 9
+
+
+def test_each_proposition_reports_exactly_its_breaking_cells():
+    # hand-made verdicts that break the propositions, in both factor orders,
+    # among the cells of a scan where both hold
+    breaking = (
+        ScanCell(2, 2, "cosymplectic", "cosymplectic", VERDICT_NONZERO, ()),
+        ScanCell(3, 2, "sasakian", "kenmotsu", VERDICT_ZERO, ()),
+        ScanCell(2, 3, "kenmotsu", "sasakian", VERDICT_ZERO, ()),
+        ScanCell(1, 4, "sasakian", "cosymplectic", VERDICT_NONZERO, ()),
+        ScanCell(4, 1, "cosymplectic", "sasakian", VERDICT_NONZERO, ()),
+        ScanCell(2, 3, "sasakian", "cosymplectic", VERDICT_ZERO, ()),
+        ScanCell(3, 2, "cosymplectic", "sasakian", VERDICT_ZERO, ()),
+    )
+    holding = scan(3, 3).cells
+    assert all(p.holds for p in _propositions(holding))
+    cells = holding[:40] + breaking[:3] + holding[40:50] + breaking[3:] + holding[50:]
+    cosymplectic_only, unit_sasakian = _propositions(cells)
+    assert cosymplectic_only.name == "cosymplectic-only"
+    assert not cosymplectic_only.holds
+    assert cosymplectic_only.counterexamples == breaking[:3] + breaking[5:]
+    assert unit_sasakian.name == "unit-sasakian-cosymplectic"
+    assert not unit_sasakian.holds
+    assert unit_sasakian.counterexamples == breaking[3:]
 
 
 def test_scan_without_propositions_for_other_conditions():

@@ -127,12 +127,15 @@ def test_constructor_rejects_non_rational_coefficients(value):
             op()
 
 
-@pytest.mark.parametrize("value", [0.1, 0.0, 2.0, True, False])
+@pytest.mark.parametrize("value", [0.1, 0.0, 2.0, True, False, 0.5, "1/2"])
 def test_substitute_rejects_non_rational_pins(value):
     with pytest.raises(TypeError):
         A1.substitute({"a1": value})
     with pytest.raises(TypeError):
         (A1 * B2).substitute({"a1": 1, "b2": value})
+    # evaluate keeps its own arithmetic but follows the same pin policy
+    with pytest.raises(TypeError):
+        (A1 * A1 + B1).evaluate({"a1": value, "b1": 1})
 
 
 def test_substitute_takes_int_and_fraction_pins():
@@ -144,6 +147,12 @@ def test_substitute_takes_int_and_fraction_pins():
 def test_substitute_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         A1.substitute({"gamma": 1})
+    with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+        (A1 * A1 + B1).evaluate({"a1": 1, "b1": 1, "zz": 1})
+    with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+        A1.identify("a1", "zz")
+    with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+        A1.identify("zz", "a1")
 
 
 def test_evaluate_requires_present_params():
