@@ -217,6 +217,7 @@ class Form:
             raise TypeError(f"exponent must be an int, not {type(exponent)}")
         if exponent < 0:
             raise ValueError("negative exponent")
+        work = 0
         if exponent and len(self.terms) == 1:
             [(mono, scalar)] = self.terms.items()
             if len(scalar.terms) == 1:
@@ -226,11 +227,14 @@ class Form:
                 mono = Monomial(mono.e1, mono.e2, mono.p * exponent, mono.q * exponent)
                 if geom is not None and not geom.admits(mono):
                     return Form.zero()
-                [(exps, coeff)] = scalar.terms.items()
-                return Form.monomial(
-                    mono, Scalar({tuple(e * exponent for e in exps): coeff**exponent})
-                )
-        out, work, size = Form.one(), 0, _size(self)
+                [(exps, c)] = scalar.terms.items()
+                if c not in (1, -1):  # in _size's words, c grows by its own length per step
+                    work = exponent * (c.numerator.bit_length() + c.denominator.bit_length()) // 64
+                if work <= MAX_WORK:  # else the loop below refuses at its first step
+                    return Form.monomial(
+                        mono, Scalar({tuple(e * exponent for e in exps): c**exponent})
+                    )
+        out, size = Form.one(), _size(self)
         for _ in range(exponent):
             work += _size(out) * size
             if work > MAX_WORK:

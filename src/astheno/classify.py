@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import fixtures
 from .algebra import Form, ProductGeometry
@@ -314,8 +315,7 @@ def reproduce_table(table_id: int, convention: Convention | str = Convention.GRA
     return TableReport(table.table_id, table.m1, table.m2, table.power, convention, tuple(rows))
 
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     m1: int
     m2: int
     factor1: str
@@ -390,7 +390,8 @@ def scan(
     """
     condition = Condition(condition)
     convention = Convention(convention)
-    pairs = [pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
+    kinds = [(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
+    pairs = [pure_pair(kind1, kind2) for kind1, kind2 in kinds]
     pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in pairs]
     rows: dict = {}  # tensor content -> (verdict, annihilating) per pair
     cells = []
@@ -404,10 +405,8 @@ def scan(
                     (verdict, analysis.annihilating)
                     for _, verdict, analysis in _verdicts(tensor, pins, ring_reduce)
                 ]
-            for pair, (verdict, conditions) in zip(pairs, row):
-                cells.append(
-                    ScanCell(m1, m2, pair.factor1.kind, pair.factor2.kind, verdict, conditions)
-                )
+            for (kind1, kind2), (verdict, conditions) in zip(kinds, row):
+                cells.append(ScanCell(m1, m2, kind1, kind2, verdict, conditions))
     cells = tuple(cells)
     propositions = _propositions(cells) if condition is Condition.ASTHENO else ()
     return ScanReport(condition, convention, max_m1, max_m2, cells, propositions)

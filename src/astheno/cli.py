@@ -286,6 +286,27 @@ def _cell_payload(c) -> dict:
             "verdict": c.verdict, "vanishing_conditions": list(c.conditions)}
 
 
+def _emit_scan(payload: dict) -> None:
+    """Print what _emit prints for a scan payload whose "cells" are ScanCells.
+
+    A scan has 9 to 36 864 cells but few distinct tails (factors, verdict,
+    conditions): each is dumped once and re-indented to cell depth, and the
+    rest of the payload is dumped whole around a placeholder string.
+    """
+    tails: dict = {}
+    items = []
+    for c in payload["cells"]:
+        tail = tails.get(c[2:])
+        if tail is None:  # the dumped cell from its "factor1" line on
+            tail = json.dumps(_cell_payload(c), indent=2).split("\n", 3)[3]
+            tail = tails[c[2:]] = ("\n" + tail).replace("\n", "\n    ")
+        items.append(f'\n    {{\n      "m1": {c.m1},\n      "m2": {c.m2},{tail}')
+    slot = "cells go here"
+    text = json.dumps({**payload, "cells": slot}, indent=2)
+    head, _, rest = text.partition(json.dumps(slot))
+    print(head + "[" + ",".join(items) + "\n  ]" + rest)
+
+
 def cmd_scan(args, parser) -> int:
     if args.max_m1 * args.max_m2 > MAX_SCAN_GEOMETRIES:
         parser.error(f"--max-m1 * --max-m2 must be <= {MAX_SCAN_GEOMETRIES}")
@@ -296,14 +317,14 @@ def cmd_scan(args, parser) -> int:
     )
 
     if args.format == "json":
-        _emit(
+        _emit_scan(
             {
                 "command": "scan",
                 "condition": report.condition.value,
                 "convention": report.convention.value,
                 "max_m1": report.max_m1,
                 "max_m2": report.max_m2,
-                "cells": [_cell_payload(c) for c in report.cells],
+                "cells": report.cells,
                 "propositions": [
                     {
                         "name": p.name,

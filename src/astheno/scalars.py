@@ -205,6 +205,8 @@ class Scalar:
         """Impose src = sign*dst by eliminating src in favour of dst."""
         if src == dst:
             raise ValueError("src and dst must differ")
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"sign must be the int 1 or -1, not {sign!r}")
         si, di = _index(src), _index(dst)
         out: dict[Exps, RationalLike] = {}
         for exps, coeff in self.terms.items():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from astheno import algebra
 from astheno.algebra import (
     ETA1,
     ETA2,
@@ -138,6 +139,26 @@ def test_power_loop_is_bounded():
     # a power that reaches zero stops there
     assert (ETA1 + ETA2).power(10**9).is_zero
     assert time.perf_counter() - start < 1.0
+
+
+def test_word_power_charges_coefficient_growth(monkeypatch):
+    three = Form.from_scalar(Scalar.rational(3))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="power too large"):
+        three.power(10**7)
+    with pytest.raises(ValueError, match="power too large"):
+        (PHI1 * Fraction(1, 3)).power(10**7)
+    assert three.power(10**6) == Form.from_scalar(Scalar.rational(3**10**6))
+    # coefficients 1 and -1 do not grow
+    assert (PHI1 * -1).power(10**9 + 1) == Form.monomial(Monomial(0, 0, 10**9 + 1, 0), -1)
+    assert Form.from_scalar(Scalar.rational(-1)).power(10**9) == Form.one()
+    assert time.perf_counter() - start < 1.0
+    # both sides of the bound: 3 is 2 + 1 bits of numerator and denominator,
+    # so 3^k is charged 3k // 64 words
+    monkeypatch.setattr(algebra, "MAX_WORK", 100)
+    assert three.power(2154) == Form.from_scalar(Scalar.rational(3**2154))
+    with pytest.raises(ValueError, match="power too large"):
+        three.power(2155)
 
 
 def test_power_rejects_negative():

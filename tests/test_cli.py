@@ -216,6 +216,79 @@ def test_scan_failing_proposition_json(capsys, monkeypatch):
     }
 
 
+def _generic_scan_json(report) -> str:
+    """A scan's JSON as the generic dump prints it: every cell through _cell_payload."""
+    payload = {
+        "command": "scan",
+        "condition": report.condition.value,
+        "convention": report.convention.value,
+        "max_m1": report.max_m1,
+        "max_m2": report.max_m2,
+        "cells": [cli._cell_payload(c) for c in report.cells],
+        "propositions": [
+            {"name": p.name, "statement": p.statement, "holds": p.holds,
+             "counterexamples": [cli._cell_payload(c) for c in p.counterexamples]}
+            for p in report.propositions
+        ],
+        "ok": report.ok,
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("condition", [c.value for c in Condition])
+@pytest.mark.parametrize("convention", ["graded", "ungraded"])
+@pytest.mark.parametrize("ring_reduce", [True, False])
+@pytest.mark.parametrize("max_m1, max_m2", [(1, 1), (3, 5), (6, 2)])
+def test_scan_json_writer_equals_the_generic_dump(
+    capsys, condition, convention, ring_reduce, max_m1, max_m2
+):
+    report = cli.scan(max_m1, max_m2, condition, convention, ring_reduce)
+    argv = ["scan", "--max-m1", str(max_m1), "--max-m2", str(max_m2), "--condition", condition,
+            "--convention", convention, "--format", "json"]
+    code, out = run(capsys, *argv, *([] if ring_reduce else ["--no-ring-reduce"]))
+    assert code == (0 if report.ok else 1)
+    assert out == _generic_scan_json(report)
+
+
+def _conditional_scan(**kwargs):
+    # no real pure-pair scan has vanishing conditions, so the writer's
+    # conditions and counterexamples are checked on a hand-made report
+    cells = (
+        ScanCell(1, 1, "sasakian", "kenmotsu", VERDICT_NONZERO, ()),
+        ScanCell(1, 2, "kenmotsu", "sasakian", "conditionally-zero", ("a1=0",)),
+        ScanCell(12, 3, "sasakian", "sasakian", "conditionally-zero", ("a1=0", "b1=-b2")),
+        ScanCell(2, 10, "kenmotsu", "sasakian", "conditionally-zero", ("a1=0",)),
+        ScanCell(2, 2, "cosymplectic", "cosymplectic", "identically-zero", ()),
+    )
+    props = (
+        Proposition("made-up", "every cell vanishes", False, cells[:3]),
+        Proposition("empty", "nothing to see", True, ()),
+    )
+    return ScanReport(Condition.GAUDUCHON, Convention.UNGRADED, 12, 10, cells, props)
+
+
+@pytest.mark.parametrize("make", [_failing_scan, _conditional_scan])
+def test_scan_json_writer_on_hand_made_reports(capsys, monkeypatch, make):
+    monkeypatch.setattr(cli, "scan", make)
+    code, out = run(capsys, "scan", "--format", "json")
+    report = make()
+    assert code == (0 if report.ok else 1)
+    assert out == _generic_scan_json(report)
+
+
+def test_scan_cell_keeps_its_contract(capsys):
+    cell = ScanCell(2, 3, "sasakian", "kenmotsu", VERDICT_NONZERO, ("a1=0",))
+    assert ScanCell._fields == ("m1", "m2", "factor1", "factor2", "verdict", "conditions")
+    for field in ScanCell._fields:
+        with pytest.raises(AttributeError):
+            setattr(cell, field, None)
+    same = ScanCell(2, 3, "sasakian", "kenmotsu", VERDICT_NONZERO, ("a1=0",))
+    assert cell == same and hash(cell) == hash(same) and len({cell, same}) == 1
+    assert cell != cell._replace(m2=4) and cell != cell._replace(conditions=())
+    code, out = run(capsys, "scan", "--max-m1", "3", "--max-m2", "3")
+    assert code == 0 and "ScanCell" not in out
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--trials", "40")
     assert code == 0

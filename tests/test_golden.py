@@ -50,3 +50,28 @@ def test_printed_output_matches_golden_digests():
         if golden.get(argv_key(argv)) != f"{code}:{stdout_digest(out)}":
             mismatched.append(argv)
     assert not mismatched, f"{len(mismatched)} of {len(commands)} differ, first {mismatched[0]}"
+
+
+# `scan --format text` (exit code and stdout sha256) for grids and options the
+# benchmark pool does not print as text, recorded before scan cells became
+# named tuples
+TEXT_SCANS = {
+    "--max-m1 4 --max-m2 4 --condition astheno --convention graded":
+        "0:ebf64918aa5f62ea8bc0f20a93319e4d6fac7bbd16120517833ec223811bac93",
+    "--max-m1 4 --max-m2 4 --condition astheno --convention ungraded":
+        "0:2d4df2dbe8dde230ca95e692d4e873364e97a996ead86110a006feeedd72af31",
+    "--max-m1 6 --max-m2 6 --condition astheno --convention graded":
+        "0:cb6870f79a5fe62378a21c12e90e98f846385f837371e767dede9a107ee20d9a",
+    "--max-m1 6 --max-m2 6 --condition astheno --convention ungraded":
+        "0:b88b6a9bb3678a9123e8b351134504ba77a85d87af5049c1358bfb89955ab4fb",
+    "--max-m1 5 --max-m2 5 --condition gauduchon --convention ungraded":
+        "0:bddec34b3ecacc72a4223b58a038a9ff6d345b1393613dfe647eb3f0068e9e01",
+    "--max-m1 3 --max-m2 7 --condition skt --convention graded --no-ring-reduce":
+        "0:ce8f44cb9c3bd52a723bf9545a48156e4253785d8b3ddfe408404d1d7c004116",
+}
+
+
+def test_text_scans_match_their_digests():
+    for args, expected in TEXT_SCANS.items():
+        code, out = run_command(cli.main, ["scan", *args.split()])
+        assert f"{code}:{stdout_digest(out)}" == expected, args

@@ -173,6 +173,10 @@ def test_identify_matches_substitution(x, values):
 def test_identify_rejects_same_param():
     with pytest.raises(ValueError):
         A1.identify("a1", "a1")
+    # a sign other than the int 1 or -1 would put a float in the ring or tie a1 = 2*a2
+    for sign in (0.5, 2, -2, 0, True, False, 1.0, Fraction(1), Fraction(-1)):
+        with pytest.raises(ValueError, match="sign must be"):
+            (A1 * A1).identify("a1", "a2", sign)
 
 
 @given(scalars())
