@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .scalars import RationalLike, Scalar, _accumulate
+from .scalars import RationalLike, Scalar, _accumulate, _check_pins
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -264,7 +264,8 @@ class Form:
         return self.map_scalars(lambda s: s.reduce())
 
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Form":
-        return self.map_scalars(lambda s: s.substitute(assign))
+        _check_pins(assign)  # once, not per coefficient; a zero form checks them too
+        return self.map_scalars(lambda s: s._substitute(assign))
 
     def __repr__(self) -> str:
         from .exprio import _repr  # call-time import: exprio imports this module

@@ -6,9 +6,10 @@ a geometry range, ``verify`` runs the full self-audit, and ``eval`` applies
 operator chains to ad-hoc expressions.
 
 Exit codes: 0 pass/zero, 1 nonzero/diff, 2 usage (also a result with an
-integer too long to print).  Reports go to stdout,
-diagnostics to stderr.  Output is deterministic; ANSI color is opt-in via
-the environment variable ASTHENO_COLOR (on/off, default off).
+integer too long to print, an ``eval`` chain past ``MAX_WORK`` and a closed
+output pipe).  Reports go to stdout, diagnostics to stderr.  Output is
+deterministic; ANSI color is opt-in via the environment variable
+ASTHENO_COLOR (on/off, default off).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .algebra import Form, ProductGeometry
+from .algebra import MAX_WORK, Form, ProductGeometry, _size
 from .audit import DEFAULT_SEED, run_audit
 from .calculus import Condition, Convention, d_c, exterior_d, j_action
 from .classify import (
@@ -63,29 +64,27 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=False))
 
 
-# the rationals the expression grammar reads, with a sign; Fraction(str) alone
-# also takes decimals, exponents (1e10000000 expands for half a minute),
-# underscores, non-ASCII digits and surrounding spaces
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# the literals the expression grammar reads: a sign, ASCII digits and, for a
+# pin, a /denominator.  int() and Fraction(str) alone also take underscores,
+# non-ASCII digits and surrounding spaces, and Fraction decimals and exponents
+# (1e10000000 expands for half a minute)
+_LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        if _RATIONAL.fullmatch(text):
-            return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass  # a literal past the interpreter's digit limit, or a zero denominator
-    raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+def _literal(read, what: str):
+    """argparse type: a literal of that grammar, read by int or Fraction."""
+    def literal(text: str):
+        try:
+            if _LITERAL.fullmatch(text):
+                return read(text)  # int() refuses the /denominator
+        except (ValueError, ZeroDivisionError):
+            pass  # a literal past the interpreter's digit limit, or a zero denominator
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+    return literal
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+_fraction = _literal(Fraction, "a rational number")
+_integer = _literal(int, "an integer")
 
 
 # Largest accepted half-dimension.  At the cap the Kahler-power binomials
@@ -101,9 +100,9 @@ MAX_TRIALS = 30_000
 def _at_most(cap: int):
     """argparse type: an integer in 1..cap."""
     def bounded(text: str) -> int:
-        value = _positive(text)
-        if value > cap:
-            raise argparse.ArgumentTypeError(f"must be <= {cap}, got {value}")
+        value = _integer(text)
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"must be in 1..{cap}, got {value}")
         return value
     return bounded
 
@@ -397,7 +396,12 @@ def cmd_eval(args, parser) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     convention = Convention(args.convention)
+    work = 0
     for op in args.apply or ():
+        work += _size(form)  # an operator costs about its operand's size
+        if work > MAX_WORK:
+            print(f"error: operator chain passes {MAX_WORK} units of work", file=sys.stderr)
+            return EXIT_USAGE
         if op == "d":
             form = exterior_d(form, convention, geom)
         elif op == "dc":
@@ -456,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = subs.add_parser(
         "table", help="reproduce one bundled reference table row by row"
     )
-    table.add_argument("--id", type=int, required=True, help="table id, 1..10")
+    table.add_argument("--id", type=_integer, required=True, help="table id, 1..10")
     _add_convention(table)
     _add_format(table)
     table.set_defaults(run=cmd_table)
@@ -476,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser(
         "verify", help="run the full self-audit: checks fail, findings inform"
     )
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
     verify.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200,
                         help=f"randomized-check sample size (1..{MAX_TRIALS})")
     _add_format(verify)
@@ -520,7 +524,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args, parser)
+        code = args.run(args, parser)
+        sys.stdout.flush()  # a closed pipe fails here, not at the interpreter's exit
+        return code
     except ValueError as exc:
         # a result with an integer past the interpreter's int-to-str digit
         # limit; the limit stays, since that conversion is quadratic
@@ -528,6 +534,12 @@ def main(argv=None) -> int:
             raise
         print("error: result too long to print (an integer passes the interpreter's "
               "digit limit)", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout early (`astheno scan | head -1`); stdout goes to
+        # devnull so the interpreter's final flush of what is left stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: output pipe closed early", file=sys.stderr)
         return EXIT_USAGE
     finally:
         _unlink(parser)

@@ -20,6 +20,7 @@ coefficient monomials by exponent vector) and round-trips exactly:
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -60,66 +61,28 @@ class _Token(NamedTuple):
     col: int
 
 
-_SINGLE = {
-    "+": "PLUS",
-    "-": "MINUS",
-    "*": "STAR",
-    "^": "CARET",
-    "(": "LPAREN",
-    ")": "RPAREN",
-}
-
-
-# ASCII only: str.isdigit() also admits superscripts and other scripts' digits
-_DIGITS = frozenset("0123456789")
+# one alternative per token kind, tried in order; SPACE and NEWLINE are dropped.
+# [0-9], not \d: \d also admits other scripts' decimal digits, such as '١'
+_LEXEME = re.compile(r"""
+    (?P<NUMBER>[0-9]+) | (?P<IDENT>[^\W\d_][^\W_]*) | (?P<WEDGE>/\\) | (?P<SLASH>/)
+  | (?P<PLUS>\+) | (?P<MINUS>-) | (?P<STAR>\*) | (?P<CARET>\^) | (?P<LPAREN>\() | (?P<RPAREN>\))
+  | (?P<SPACE>[ \t\r]+) | (?P<NEWLINE>\n) | (?P<BAD>.)
+""", re.S | re.X)
 
 
 def _tokenize(text: str) -> list:
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(_Token("NUMBER", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and text[i].isalnum():
-                i += 1
-            tokens.append(_Token("IDENT", text[start:i], line, col))
-            col += i - start
-            continue
-        if ch == "/":
-            if i + 1 < n and text[i + 1] == "\\":
-                tokens.append(_Token("WEDGE", "/\\", line, col))
-                i += 2
-                col += 2
-            else:
-                tokens.append(_Token("SLASH", "/", line, col))
-                i += 1
-                col += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(_Token(_SINGLE[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+    line, start = 1, 0  # start: the offset where the current line begins
+    for m in _LEXEME.finditer(text):
+        kind, col = m.lastgroup, m.start() - start + 1
+        # [^\W\d_] also admits numerics such as '²'; a name starts with a letter
+        if kind == "BAD" or kind == "IDENT" and not text[m.start()].isalpha():
+            raise ParseError(f"unexpected character {text[m.start()]!r}", line, col)
+        if kind == "NEWLINE":
+            line, start = line + 1, m.end()
+        elif kind != "SPACE":
+            tokens.append(_Token(kind, m.group(), line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - start + 1))
     return tokens
 
 

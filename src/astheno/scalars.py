@@ -183,6 +183,10 @@ class Scalar:
         """Partially evaluate: pinned parameters get values, others stay.  A zero
         pin does no arithmetic: the terms it occurs in drop, the rest stay as is."""
         _check_pins(assign)
+        return self._substitute(assign)
+
+    def _substitute(self, assign: Mapping[str, RationalLike]) -> "Scalar":
+        """substitute, for a caller that has checked the pins once already."""
         terms, pins = self.terms.items(), []
         for idx, name in enumerate(PARAMS):
             if assign.get(name, 0) != 0:

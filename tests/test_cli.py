@@ -3,19 +3,26 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from astheno import cli
-from astheno.calculus import Condition, Convention
+from astheno.algebra import MAX_WORK, _size
+from astheno.calculus import Condition, Convention, d_c, exterior_d
 from astheno.classify import KINDS, VERDICT_NONZERO, Proposition, ScanCell, ScanReport
 from astheno.cli import MAX_HALF_DIM, MAX_SCAN_GEOMETRIES, MAX_TRIALS, main
 from astheno.exprio import MAX_NESTING
 from astheno.exprio import from_record, parse
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -89,6 +96,20 @@ def test_check_at_the_half_dimension_cap(capsys, flags):
              "--factor2", "sasakian", "--alpha1=" + pin)
             for pin in ("1e10000000", "1e3", "1.5", "1_000", "\u0661", " 1", "1 ",
                         "1/0", "1/-2", "", "3" * 5000)
+        ),
+        # the integer options read the ASCII literals that pins read; int() took these
+        *(
+            (*command, f"{option}={value}")
+            for *command, option in (
+                ("check", "--m2", "1", "--factor1", "sasakian", "--factor2", "kenmotsu", "--m1"),
+                ("check", "--m1", "1", "--factor1", "sasakian", "--factor2", "kenmotsu", "--m2"),
+                ("scan", "--max-m1"),
+                ("scan", "--max-m2"),
+                ("verify", "--trials"),
+                ("verify", "--seed"),
+                ("table", "--id"),
+            )
+            for value in ("\u0661", "1_0", " 3", "3 ")
         ),
     ],
 )
@@ -371,6 +392,63 @@ def test_eval_product_past_the_work_budget_is_a_parse_error(capsys):
     assert code == 2
     assert "expression too large" in captured.err
     assert elapsed < 1.0
+
+
+_CHAIN = r"Phi1 + Phi2 - 2*eta1/\eta2 + a1*b1*eta1"
+
+
+@pytest.mark.parametrize("op", ("d", "dc"))
+def test_eval_operator_chain_is_bounded_by_the_work_budget(capsys, monkeypatch, op):
+    # each application charges its operand's size; find the longest chain within budget
+    apply = {"d": exterior_d, "dc": d_c}[op]
+    form, work, steps = parse(_CHAIN), 0, 0
+    while work + _size(form) <= MAX_WORK:
+        work += _size(form)
+        form, steps = apply(form), steps + 1
+    assert steps > 100  # the benchmark's evals apply at most 3 operators
+    code, out = run(capsys, "eval", "--expr", _CHAIN, *["--apply", op] * steps)
+    assert code == 0
+    assert parse(out) == form
+    code = main(["eval", "--expr", _CHAIN, *["--apply", op] * (steps + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: operator chain passes {MAX_WORK} units of work\n"
+    # the chain's own total charge is the least bound that accepts it
+    for bound, expected in ((work, 0), (work - 1, 2)):
+        monkeypatch.setattr(cli, "MAX_WORK", bound)
+        assert main(["eval", "--expr", _CHAIN, *["--apply", op] * steps]) == expected
+    # 1000 dc steps took 9 s and printed 10 MB of JSON before the bound
+    start = time.perf_counter()
+    assert main(["eval", "--expr", _CHAIN, *["--apply", op] * 1000]) == 2
+    assert time.perf_counter() - start < 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("scan", "--max-m1", "30", "--max-m2", "30"),
+        ("scan", "--max-m1", "30", "--max-m2", "30", "--format", "json"),
+        ("eval", "--expr", "eta1"),
+    ),
+    ids=("text", "json", "short"),
+)
+def test_closed_output_pipe_exits_2_without_a_traceback(argv):
+    # the reader is gone before the first write; a scan fails inside a print,
+    # the short output at main's flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # stdout block-buffered, as in a shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    try:
+        done = subprocess.run([sys.executable, "-m", "astheno.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == b"error: output pipe closed early\n"
 
 
 def test_verify_trials_above_the_cap_are_usage_errors(capsys):

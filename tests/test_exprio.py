@@ -16,6 +16,7 @@ from astheno.exprio import (
     MAX_WORK,
     ParseError,
     RecordError,
+    _tokenize,
     from_record,
     parse,
     print_latex,
@@ -332,6 +333,34 @@ def test_parse_is_total(text):
         assert isinstance(parse(text), Form)
     except ParseError:
         pass
+
+
+_WHITESPACE = " \t\r\n"
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.text(alphabet="0123456789²١é_ \t\r\nab12etaPhi+-*/\\^()", max_size=40)))
+@settings(max_examples=300)
+def test_tokens_locate_their_text(text):
+    lines = text.split("\n")
+    try:
+        tokens = _tokenize(text)
+    except ParseError as exc:
+        # the first character that is neither whitespace nor part of a token
+        offset = sum(len(line) + 1 for line in lines[: exc.line - 1]) + exc.col - 1
+        assert text[offset] not in _WHITESPACE
+        _tokenize(text[:offset])
+        with pytest.raises(ParseError):
+            _tokenize(text[offset])
+        return
+    assert "".join(tok.text for tok in tokens) == "".join(
+        ch for ch in text if ch not in _WHITESPACE
+    )
+    for tok in tokens[:-1]:
+        assert lines[tok.line - 1][tok.col - 1:].startswith(tok.text)
+        # a name starts with a letter, and a number is ASCII digits
+        assert tok.text[0].isalpha() if tok.kind == "IDENT" else tok.text.isascii()
+    assert tokens[-1][1:] == ("", len(lines), len(lines[-1]) + 1)
 
 
 _JSON = st.recursive(

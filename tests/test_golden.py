@@ -1,12 +1,11 @@
 """Printed output of the benchmark's commands against its golden digests.
 
 ``bench/golden.json`` holds the exit code and the stdout sha256 of every
-command the benchmark workloads can run.  This test runs through
-``cli.main`` the ones that print forms (every ``table``, every ``eval`` in
-text or LaTeX, every ``check --format latex``) and every ``scan``, and
-compares, so a printer change or a change of a scan's tensors that moves one
-byte fails here and not only under the benchmark.  The helpers are imported
-from ``bench/`` and used as they are.
+command the benchmark workloads can run.  This test runs each of them
+through ``cli.main`` (about 3900 commands, some 10 seconds) and compares, so
+a change that moves one printed byte or one exit code of any pool command
+fails here and not only under the benchmark.  The helpers are imported from
+``bench/`` and used as they are.
 """
 
 import json
@@ -23,31 +22,19 @@ from workloads import WORKLOADS, pool_commands  # noqa: E402
 from astheno import cli  # noqa: E402
 
 
-def _format(argv: list) -> str:
-    return argv[argv.index("--format") + 1] if "--format" in argv else "text"
-
-
-def _pinned(argv: list) -> bool:
-    if argv[0] in ("table", "scan"):
-        return True
-    if argv[0] == "eval":
-        return _format(argv) in ("text", "latex")
-    return argv[0] == "check" and _format(argv) == "latex"
-
-
-def test_printed_output_matches_golden_digests():
+def test_printed_output_matches_golden_digests(monkeypatch):
+    monkeypatch.setenv("ASTHENO_COLOR", "off")
     golden = json.loads((ROOT / "bench" / "golden.json").read_text(encoding="utf-8"))
-    commands = [
-        argv
+    commands = {
+        argv_key(argv): argv
         for workload in WORKLOADS
         for argv in pool_commands(workload, ROOT)
-        if _pinned(argv)
-    ]
-    assert {argv[0] for argv in commands} == {"table", "eval", "check", "scan"}
+    }
+    assert set(commands) == set(golden)
     mismatched = []
-    for argv in commands:
+    for key, argv in commands.items():
         code, out = run_command(cli.main, argv)
-        if golden.get(argv_key(argv)) != f"{code}:{stdout_digest(out)}":
+        if golden.get(key) != f"{code}:{stdout_digest(out)}":
             mismatched.append(argv)
     assert not mismatched, f"{len(mismatched)} of {len(commands)} differ, first {mismatched[0]}"
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from astheno.algebra import UNIT_MONOMIAL
+from astheno.algebra import UNIT_MONOMIAL, Form
 from astheno.exprio import parse, print_text, to_record
 from astheno.scalars import A1, A2, B1, B2, PARAMS, ZERO, Scalar
 
@@ -133,6 +133,10 @@ def test_substitute_rejects_non_rational_pins(value):
         A1.substitute({"a1": value})
     with pytest.raises(TypeError):
         (A1 * B2).substitute({"a1": 1, "b2": value})
+    # a form checks its pins once, whether or not it has a coefficient to pin
+    for form in (Form.zero(), Form.from_scalar(A1 * B2)):
+        with pytest.raises(TypeError):
+            form.substitute({"a1": 1, "b2": value})
     # evaluate keeps its own arithmetic but follows the same pin policy
     with pytest.raises(TypeError):
         (A1 * A1 + B1).evaluate({"a1": value, "b1": 1})
@@ -147,6 +151,9 @@ def test_substitute_takes_int_and_fraction_pins():
 def test_substitute_rejects_unknown_parameter():
     with pytest.raises(ValueError):
         A1.substitute({"gamma": 1})
+    for form in (Form.zero(), Form.from_scalar(A1)):
+        with pytest.raises(ValueError, match="unknown parameter 'zz'"):
+            form.substitute({"zz": 1})
     with pytest.raises(ValueError, match="unknown parameter 'zz'"):
         (A1 * A1 + B1).evaluate({"a1": 1, "b1": 1, "zz": 1})
     with pytest.raises(ValueError, match="unknown parameter 'zz'"):
