@@ -112,15 +112,19 @@ class Relation:
         return form.map_scalars(lambda s: s.identify(self.src, self.dst, self.sign))
 
 
-def candidate_relations(residual: Form, forbidden: frozenset = frozenset()) -> tuple:
+def _relations(present, forbidden) -> list:
     """Zero pins for the parameters present, then the proportionality ties."""
-    present = residual.params_present()
     rels = [Relation(f"{p}=0", p) for p in PARAMS if p in present and p not in forbidden]
     for src, dst in (("a1", "a2"), ("b1", "b2")):
         if src in present and dst in present:
             rels.append(Relation(f"{src}={dst}", src, dst, 1))
             rels.append(Relation(f"{src}=-{dst}", src, dst, -1))
-    return tuple(rels)
+    return rels
+
+
+def candidate_relations(residual: Form, forbidden: frozenset = frozenset()) -> tuple:
+    """The relations a residual's analysis tries, from the parameters it carries."""
+    return tuple(_relations(residual.params_present(), forbidden))
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,9 @@ class VanishingAnalysis:
     def annihilating(self) -> tuple:
         hits = tuple(label for label, ok in self.singles if ok)
         return hits if hits else self.pairs
+
+
+_NO_ANALYSIS = VanishingAnalysis((), ())  # of a residual with no relation to try
 
 
 def analyze_residual(
@@ -167,23 +174,41 @@ def analyze_residual(
     return VanishingAnalysis(tuple(singles), tuple(pairs))
 
 
+def _masks(form: Form) -> set:
+    """The distinct parameter sets of the form's coefficient terms (at most 16)."""
+    exps = {e for scalar in form.terms.values() for e in scalar.terms}
+    return {frozenset(p for p, n in zip(PARAMS, e) if n) for e in exps}
+
+
 def _verdicts(tensor: Form, pins, ring_reduce: bool):
-    """Reduce the tensor once, then per pair's pins (assignment, forbidden zero
-    params) substitute and judge the residual: yields (residual, verdict, analysis).
+    """Reduce the tensor once, then judge each pair's pins (assignment, forbidden
+    zero params): yields (verdict, analysis) per pair.
 
     Ring reduction runs before the numeric pins so the quotient by the
-    integrability ideal wins over a contradictory pin.
+    integrability ideal wins over a contradictory pin.  A zero pin does no
+    arithmetic: it drops the terms it occurs in, so nothing can cancel.  The
+    residual's support is therefore the reduced tensor's masks (each
+    coefficient term's parameter set) that miss every zero pin; it vanishes
+    exactly when none does, and its candidate relations, the parameters
+    present and the ties between them, are read off the same masks.  So a
+    residual is built and analysed only when some relation must be tried.
+    A nonzero pin can merge terms and cancel them: an assignment with one is
+    substituted first and judged on the residual's own masks.
     """
     if ring_reduce:
         tensor = tensor.reduce()
+    masks = _masks(tensor)
     for assignment, forbidden in pins:
-        residual = tensor.substitute(assignment)
-        if residual.is_zero:
-            yield residual, VERDICT_ZERO, VanishingAnalysis((), ())
+        residual = tensor.substitute(assignment) if any(assignment.values()) else None
+        live = masks if residual is None else _masks(residual)
+        live = [mask for mask in live if mask.isdisjoint(assignment)]
+        if not live or not _relations(frozenset().union(*live), forbidden):
+            yield (VERDICT_NONZERO if live else VERDICT_ZERO), _NO_ANALYSIS
             continue
+        if residual is None:
+            residual = tensor.substitute(assignment)
         analysis = analyze_residual(residual, forbidden, ring_reduce)
-        verdict = VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO
-        yield residual, verdict, analysis
+        yield (VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO), analysis
 
 
 @dataclass(frozen=True)
@@ -217,8 +242,11 @@ def classify(
     condition = Condition(condition)
     convention = Convention(convention)
     tensor = condition_tensor(condition, geom, convention)
-    pins = [(pair.assignment(), pair.forbidden_zero_params())]
-    [(residual, verdict, analysis)] = _verdicts(tensor, pins, ring_reduce)
+    assignment, forbidden = pair.assignment(), pair.forbidden_zero_params()
+    residual = (tensor.reduce() if ring_reduce else tensor).substitute(assignment)
+    # the residual is reduced and free of the pinned parameters, so judging it
+    # under the same pins judges the tensor, at the residual's size
+    [(verdict, analysis)] = _verdicts(residual, [(assignment, forbidden)], ring_reduce)
     return ClassificationReport(
         condition=condition,
         geometry=geom,
@@ -384,9 +412,13 @@ def scan(
     builder of ``condition_tensor`` without its graded guard, in O(1) Scalar
     operations, and each distinct tensor is judged once, its verdict row
     reused by every geometry where it recurs (the skt tensor takes only four
-    values over any grid).  The two bundled propositions are evaluated over
-    the scanned range when the condition is astheno; other conditions carry
-    no propositions.
+    values over any grid).  The pure kinds pin only zeros, and a zero pin,
+    applied after the ring reduction, only drops the terms it occurs in, so
+    each pair is judged on the reduced tensor's support (see ``_verdicts``):
+    a residual is built only where a relation must be tried, the ties of the
+    sasakian x sasakian and kenmotsu x kenmotsu pairs.  The two bundled
+    propositions are evaluated over the scanned range when the condition is
+    astheno; other conditions carry no propositions.
     """
     condition = Condition(condition)
     convention = Convention(convention)
@@ -403,7 +435,7 @@ def scan(
             if row is None:
                 row = rows[key] = [
                     (verdict, analysis.annihilating)
-                    for _, verdict, analysis in _verdicts(tensor, pins, ring_reduce)
+                    for verdict, analysis in _verdicts(tensor, pins, ring_reduce)
                 ]
             for (kind1, kind2), (verdict, conditions) in zip(kinds, row):
                 cells.append(ScanCell(m1, m2, kind1, kind2, verdict, conditions))

@@ -20,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .algebra import Form, ProductGeometry
-from .scalars import RationalLike
+from astheno.algebra import Form, ProductGeometry
+from astheno.scalars import RationalLike
 
 # dict blade-bitmask -> Fraction
 Multivector = dict

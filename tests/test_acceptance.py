@@ -30,8 +30,9 @@ from astheno.exprio import (
     to_record,
 )
 from astheno.fixtures import equation_form, load_table, table_ids
-from astheno.oracle import GrassmannOracle
 from astheno.scalars import A1, A2, B1, B2, PARAMS
+
+from oracle import GrassmannOracle
 
 PRINTED_ZERO_ROWS = {
     1: {1, 3, 7, 9},

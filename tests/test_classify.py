@@ -11,11 +11,13 @@ from astheno.calculus import Condition, Convention, condition_tensor
 from astheno.classify import (
     KINDS,
     PURE_KINDS,
+    VERDICT_CONDITIONAL,
     VERDICT_NONZERO,
     VERDICT_ZERO,
     FactorStructure,
     ScanCell,
     StructurePair,
+    VanishingAnalysis,
     _propositions,
     _verdicts,
     analyze_residual,
@@ -265,19 +267,31 @@ def test_scan_cells_match_classify(condition, convention, ring_reduce):
         assert (cell.verdict, cell.conditions) == (rep.verdict, rep.conditions), cell
 
 
+def _defined_verdict(tensor, assignment, forbidden, ring_reduce):
+    """A verdict by its definition: reduce, substitute the pins, analyse the residual."""
+    residual = (tensor.reduce() if ring_reduce else tensor).substitute(assignment)
+    if residual.is_zero:
+        return VERDICT_ZERO, VanishingAnalysis((), ())
+    analysis = analyze_residual(residual, forbidden, ring_reduce)
+    return (VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO), analysis
+
+
 @pytest.mark.parametrize("ring_reduce", [True, False])
 @pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("condition", list(Condition))
 def test_scan_matches_a_reference_loop_over_condition_tensor(condition, convention, ring_reduce):
-    # scan builds its tensors from closed forms; the reference judges every
-    # geometry's condition_tensor afresh
+    # scan builds its tensors from closed forms and judges them on their
+    # support; the reference judges every geometry's condition_tensor afresh
+    # by the definition
     pairs = [pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
-    pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in pairs]
     cells = []
     for m1 in range(1, 7):
         for m2 in range(1, 7):
             tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
-            for pair, (_, verdict, analysis) in zip(pairs, _verdicts(tensor, pins, ring_reduce)):
+            for pair in pairs:
+                verdict, analysis = _defined_verdict(
+                    tensor, pair.assignment(), pair.forbidden_zero_params(), ring_reduce
+                )
                 cells.append(ScanCell(
                     m1, m2, pair.factor1.kind, pair.factor2.kind, verdict, analysis.annihilating,
                 ))
@@ -285,6 +299,86 @@ def test_scan_matches_a_reference_loop_over_condition_tensor(condition, conventi
     assert report.cells == tuple(cells)
     expected = _propositions(cells) if condition is Condition.ASTHENO else ()
     assert report.propositions == expected
+
+
+def _pinned(kind1, pins1, kind2, pins2):
+    return StructurePair(FactorStructure(kind1, **pins1), FactorStructure(kind2, **pins2))
+
+
+# every ordered pair of kinds, then explicit pins of zero and nonzero values
+_JUDGED_PAIRS = [pure_pair(kind1, kind2) for kind1 in KINDS for kind2 in KINDS] + [
+    _pinned("sasakian", {"alpha": 2}, "kenmotsu", {"beta": Fraction(-1, 3)}),
+    _pinned("trans-sasakian", {"alpha": 0}, "trans-sasakian", {"beta": 0}),
+    _pinned("trans-sasakian", {"alpha": 1}, "trans-sasakian", {"alpha": -1}),
+    _pinned("trans-sasakian", {"alpha": 1, "beta": 0}, "sasakian", {}),
+    _pinned("cosymplectic", {}, "trans-sasakian", {"alpha": 0, "beta": 2}),
+    _pinned("kenmotsu", {"beta": 3}, "trans-sasakian", {"beta": 3}),
+]
+
+
+@pytest.mark.parametrize("ring_reduce", [True, False])
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("condition", list(Condition))
+def test_verdicts_match_their_definition(condition, convention, ring_reduce):
+    pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in _JUDGED_PAIRS]
+    for m1 in range(1, 6):
+        for m2 in range(1, 6):
+            tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
+            judged = list(_verdicts(tensor, pins, ring_reduce))
+            for pin, (verdict, analysis) in zip(pins, judged, strict=True):
+                expected = _defined_verdict(tensor, *pin, ring_reduce)
+                assert (verdict, analysis) == expected, (m1, m2, pin)
+
+
+@pytest.mark.parametrize("forbidden", [frozenset(), frozenset({"b2"}), frozenset({"a2"})])
+def test_a_nonzero_pin_that_cancels_terms_is_substituted_first(forbidden):
+    # a1*b2 - b2 carries a1 and b2 on its own, yet a1 = 1 cancels it, which
+    # no zero pin can do: the support alone would call it nonzero
+    from astheno.algebra import Form, Monomial
+    from astheno.scalars import A1, A2, B2
+
+    cancelled = Form.monomial(Monomial(0, 0, 1, 1), A1 * B2 - B2)
+    survivor = cancelled + Form.monomial(Monomial(0, 0, 2, 0), A2)
+    for ring_reduce in (True, False):
+        [judged] = _verdicts(cancelled, [({"a1": 1}, forbidden)], ring_reduce)
+        assert judged == (VERDICT_ZERO, VanishingAnalysis((), ()))
+        for assignment in ({"a1": 1}, {"a1": 1, "b1": 0}):
+            [judged] = _verdicts(survivor, [(assignment, forbidden)], ring_reduce)
+            assert judged == _defined_verdict(survivor, assignment, forbidden, ring_reduce)
+            assert judged[0] == (VERDICT_NONZERO if forbidden == {"a2"} else VERDICT_CONDITIONAL)
+
+
+def test_scan_builds_residuals_only_where_a_relation_must_be_tried(monkeypatch):
+    # a pure pair pins only zeros, so its residual is built only when it has
+    # a candidate relation: the a1 = +-a2 and b1 = +-b2 ties of like kinds
+    from astheno.algebra import Form
+
+    module = sys.modules[scan.__module__]
+    pairs = {
+        frozenset(pair.assignment()): pair
+        for pair in (pure_pair(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS)
+    }
+    real_substitute, real_verdicts = Form.substitute, module._verdicts
+    built, judged = [], []
+
+    def substitute(form, assign):
+        residual = real_substitute(form, assign)
+        built.append((pairs[frozenset(assign)], residual))
+        return residual
+
+    def verdicts(tensor, pins, ring_reduce):
+        judged.append(tensor)
+        return real_verdicts(tensor, pins, ring_reduce)
+
+    monkeypatch.setattr(Form, "substitute", substitute)
+    monkeypatch.setattr(module, "_verdicts", verdicts)
+    scan(4, 4)
+    assert len(judged) == 16
+    assert 0 < len(built) <= 2 * len(judged)
+    for pair, residual in built:
+        assert (pair.factor1.kind, pair.factor2.kind) in (
+            ("sasakian", "sasakian"), ("kenmotsu", "kenmotsu"))
+        assert candidate_relations(residual, pair.forbidden_zero_params())
 
 
 @pytest.mark.parametrize(

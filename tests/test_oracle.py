@@ -8,9 +8,10 @@ import pytest
 
 from astheno.algebra import ETA1, ETA2, Form, Monomial, ProductGeometry
 from astheno.calculus import kahler_form
-from astheno.oracle import GrassmannOracle
 from astheno.audit import random_form
 from astheno.scalars import PARAMS
+
+from oracle import GrassmannOracle
 
 
 def _params(rng: random.Random) -> dict:
