@@ -160,12 +160,6 @@ class Form:
             return NotImplemented
         return self.terms == other.terms
 
-    def params_present(self) -> frozenset:
-        out: frozenset = frozenset()
-        for scalar in self.terms.values():
-            out |= scalar.params_present()
-        return out
-
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other: "Form") -> "Form":

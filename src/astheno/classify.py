@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import fixtures
 from .algebra import Form, ProductGeometry
 from .calculus import Condition, Convention, _tensor, condition_tensor
-from .scalars import PARAMS, RATIONAL_TYPES
+from .scalars import PARAMS, RATIONAL_TYPES, _check_tie
 
 # kind -> what it forces on the factor's (alpha, beta): "zero", "nonzero" or nothing
 _KIND_PARAMS = {
@@ -94,7 +94,7 @@ def pure_pair(kind1: str, kind2: str) -> StructurePair:
 @dataclass(frozen=True)
 class Relation:
     """One linear constraint on the parameters: src = 0 when dst is None,
-    else src = sign*dst.  Applied scalar by scalar."""
+    else src = sign*dst.  Checked once per form, applied scalar by scalar."""
 
     label: str
     src: str
@@ -107,9 +107,15 @@ class Relation:
 
     def apply(self, form: Form) -> Form:
         if self.dst is None:
-            pin = {self.src: 0}
-            return form.map_scalars(lambda s: s.substitute(pin))
-        return form.map_scalars(lambda s: s.identify(self.src, self.dst, self.sign))
+            return form.substitute({self.src: 0})
+        si, di = _check_tie(self.src, self.dst, self.sign)
+        return form.map_scalars(lambda s: s._identify(si, di, self.sign))
+
+
+def _masks(form: Form) -> set:
+    """The distinct parameter sets of the form's coefficient terms (at most 16)."""
+    exps = {e for scalar in form.terms.values() for e in scalar.terms}
+    return {frozenset(p for p, n in zip(PARAMS, e) if n) for e in exps}
 
 
 def _relations(present, forbidden) -> list:
@@ -124,7 +130,7 @@ def _relations(present, forbidden) -> list:
 
 def candidate_relations(residual: Form, forbidden: frozenset = frozenset()) -> tuple:
     """The relations a residual's analysis tries, from the parameters it carries."""
-    return tuple(_relations(residual.params_present(), forbidden))
+    return tuple(_relations(frozenset().union(*_masks(residual)), forbidden))
 
 
 @dataclass(frozen=True)
@@ -174,39 +180,27 @@ def analyze_residual(
     return VanishingAnalysis(tuple(singles), tuple(pairs))
 
 
-def _masks(form: Form) -> set:
-    """The distinct parameter sets of the form's coefficient terms (at most 16)."""
-    exps = {e for scalar in form.terms.values() for e in scalar.terms}
-    return {frozenset(p for p, n in zip(PARAMS, e) if n) for e in exps}
+def _verdicts(reduced: Form, pins, ring_reduce: bool):
+    """Judge a tensor already reduced (when ring_reduce) under each pair's zero
+    pins (names pinned to zero, forbidden zero params): yields (verdict,
+    analysis) per pair.
 
-
-def _verdicts(tensor: Form, pins, ring_reduce: bool):
-    """Reduce the tensor once, then judge each pair's pins (assignment, forbidden
-    zero params): yields (verdict, analysis) per pair.
-
-    Ring reduction runs before the numeric pins so the quotient by the
-    integrability ideal wins over a contradictory pin.  A zero pin does no
-    arithmetic: it drops the terms it occurs in, so nothing can cancel.  The
-    residual's support is therefore the reduced tensor's masks (each
+    A zero pin does no arithmetic: it drops the terms it occurs in, so nothing
+    can cancel.  The residual's support is therefore the tensor's masks (each
     coefficient term's parameter set) that miss every zero pin; it vanishes
     exactly when none does, and its candidate relations, the parameters
     present and the ties between them, are read off the same masks.  So a
     residual is built and analysed only when some relation must be tried.
-    A nonzero pin can merge terms and cancel them: an assignment with one is
-    substituted first and judged on the residual's own masks.
+    A nonzero pin can merge terms and cancel them, so none comes here:
+    ``classify`` substitutes it first and judges the residual with no pins.
     """
-    if ring_reduce:
-        tensor = tensor.reduce()
-    masks = _masks(tensor)
-    for assignment, forbidden in pins:
-        residual = tensor.substitute(assignment) if any(assignment.values()) else None
-        live = masks if residual is None else _masks(residual)
-        live = [mask for mask in live if mask.isdisjoint(assignment)]
+    masks = _masks(reduced)
+    for zeros, forbidden in pins:
+        live = [mask for mask in masks if mask.isdisjoint(zeros)]
         if not live or not _relations(frozenset().union(*live), forbidden):
             yield (VERDICT_NONZERO if live else VERDICT_ZERO), _NO_ANALYSIS
             continue
-        if residual is None:
-            residual = tensor.substitute(assignment)
+        residual = reduced.substitute(dict.fromkeys(zeros, 0)) if zeros else reduced
         analysis = analyze_residual(residual, forbidden, ring_reduce)
         yield (VERDICT_CONDITIONAL if analysis.annihilating else VERDICT_NONZERO), analysis
 
@@ -238,15 +232,16 @@ def classify(
     convention: Convention | str = Convention.GRADED,
     ring_reduce: bool = True,
 ) -> ClassificationReport:
-    """Verdict on the named vanishing condition for one structured product."""
+    """Verdict on the named vanishing condition for one structured product.
+
+    The one place nonzero pins enter: the reduced tensor (so the quotient wins
+    over a contradictory pin) takes the whole assignment once, and the
+    residual, free of every pinned parameter, is judged with no pins."""
     condition = Condition(condition)
     convention = Convention(convention)
     tensor = condition_tensor(condition, geom, convention)
-    assignment, forbidden = pair.assignment(), pair.forbidden_zero_params()
-    residual = (tensor.reduce() if ring_reduce else tensor).substitute(assignment)
-    # the residual is reduced and free of the pinned parameters, so judging it
-    # under the same pins judges the tensor, at the residual's size
-    [(verdict, analysis)] = _verdicts(residual, [(assignment, forbidden)], ring_reduce)
+    residual = (tensor.reduce() if ring_reduce else tensor).substitute(pair.assignment())
+    [(verdict, analysis)] = _verdicts(residual, [((), pair.forbidden_zero_params())], ring_reduce)
     return ClassificationReport(
         condition=condition,
         geometry=geom,
@@ -315,13 +310,14 @@ def reproduce_table(table_id: int, convention: Convention | str = Convention.GRA
         engine = primary.substitute(sub)
         other = shadow.substitute(sub)
         expected = fixture_row.form
+        engine_cut, expected_cut = engine.truncate(geom), expected.truncate(geom)
         if expected == engine:
             status = "exact"
-        elif expected.truncate(geom) == engine.truncate(geom):
+        elif expected_cut == engine_cut:
             status = "modulo-truncation"
         elif expected == other:
             status = "modulo-convention"
-        elif expected.truncate(geom) == other.truncate(geom):
+        elif expected_cut == other.truncate(geom):
             status = "modulo-convention-truncation"
         else:
             status = "discrepancy"
@@ -332,10 +328,10 @@ def reproduce_table(table_id: int, convention: Convention | str = Convention.GRA
                 factor2=fixture_row.factor2,
                 status=status,
                 printed_zero=fixture_row.is_printed_zero,
-                engine_zero_truncated=engine.truncate(geom).is_zero,
+                engine_zero_truncated=engine_cut.is_zero,
                 fixture=expected,
                 engine=engine,
-                engine_truncated=engine.truncate(geom),
+                engine_truncated=engine_cut,
                 diff=expected - engine,
                 note=fixture_row.note,
             )
@@ -410,21 +406,21 @@ def scan(
 
     The tensor is built once per geometry by ``calculus._tensor``, the
     builder of ``condition_tensor`` without its graded guard, in O(1) Scalar
-    operations, and each distinct tensor is judged once, its verdict row
-    reused by every geometry where it recurs (the skt tensor takes only four
-    values over any grid).  The pure kinds pin only zeros, and a zero pin,
-    applied after the ring reduction, only drops the terms it occurs in, so
-    each pair is judged on the reduced tensor's support (see ``_verdicts``):
-    a residual is built only where a relation must be tried, the ties of the
-    sasakian x sasakian and kenmotsu x kenmotsu pairs.  The two bundled
-    propositions are evaluated over the scanned range when the condition is
-    astheno; other conditions carry no propositions.
+    operations, and each distinct tensor is reduced and judged once, its
+    verdict row reused by every geometry where it recurs (the skt tensor takes
+    only four values over any grid).  The pure kinds pin only zeros, the
+    only pins ``_verdicts`` takes (nonzero pins enter only in ``classify``),
+    so each pair is judged on the reduced tensor's support, and a residual
+    is built only where a relation must be tried: the ties of the sasakian x
+    sasakian and kenmotsu x kenmotsu pairs.  The two bundled propositions
+    are evaluated over the scanned range when the condition is astheno;
+    other conditions carry no propositions.
     """
     condition = Condition(condition)
     convention = Convention(convention)
     kinds = [(kind1, kind2) for kind1 in PURE_KINDS for kind2 in PURE_KINDS]
     pairs = [pure_pair(kind1, kind2) for kind1, kind2 in kinds]
-    pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in pairs]
+    pins = [(frozenset(pair.assignment()), pair.forbidden_zero_params()) for pair in pairs]
     rows: dict = {}  # tensor content -> (verdict, annihilating) per pair
     cells = []
     for m1 in range(1, max_m1 + 1):
@@ -433,9 +429,10 @@ def scan(
             key = frozenset((mono, frozenset(s.terms.items())) for mono, s in tensor.terms.items())
             row = rows.get(key)
             if row is None:
+                reduced = tensor.reduce() if ring_reduce else tensor
                 row = rows[key] = [
                     (verdict, analysis.annihilating)
-                    for verdict, analysis in _verdicts(tensor, pins, ring_reduce)
+                    for verdict, analysis in _verdicts(reduced, pins, ring_reduce)
                 ]
             for (kind1, kind2), (verdict, conditions) in zip(kinds, row):
                 cells.append(ScanCell(m1, m2, kind1, kind2, verdict, conditions))

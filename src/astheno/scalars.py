@@ -61,6 +61,15 @@ def _check_pins(assign: Mapping) -> None:
             raise TypeError(f"pin {name} must be int or Fraction, not {type(value)}")
 
 
+def _check_tie(src: str, dst: str, sign: int) -> tuple:
+    """The tie policy of identify: distinct known names, a sign of int 1 or -1; their indices."""
+    if src == dst:
+        raise ValueError("src and dst must differ")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be the int 1 or -1, not {sign!r}")
+    return _index(src), _index(dst)
+
+
 def _is_mixed(exps: Exps) -> bool:
     # dropped by ring reduction: mixes a_i with b_i for the same factor
     return bool(exps[0] and exps[1]) or bool(exps[2] and exps[3])
@@ -207,11 +216,10 @@ class Scalar:
 
     def identify(self, src: str, dst: str, sign: int = 1) -> "Scalar":
         """Impose src = sign*dst by eliminating src in favour of dst."""
-        if src == dst:
-            raise ValueError("src and dst must differ")
-        if type(sign) is not int or sign not in (1, -1):
-            raise ValueError(f"sign must be the int 1 or -1, not {sign!r}")
-        si, di = _index(src), _index(dst)
+        return self._identify(*_check_tie(src, dst, sign), sign)
+
+    def _identify(self, si: int, di: int, sign: int) -> "Scalar":
+        """identify by parameter indices, for a caller that has checked the tie once already."""
         out: dict[Exps, RationalLike] = {}
         for exps, coeff in self.terms.items():
             new_exps = list(exps)

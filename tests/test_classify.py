@@ -2,11 +2,12 @@
 
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from astheno import fixtures
-from astheno.algebra import ProductGeometry
+from astheno.algebra import Form, Monomial, ProductGeometry
 from astheno.calculus import Condition, Convention, condition_tensor
 from astheno.classify import (
     KINDS,
@@ -15,6 +16,7 @@ from astheno.classify import (
     VERDICT_NONZERO,
     VERDICT_ZERO,
     FactorStructure,
+    Relation,
     ScanCell,
     StructurePair,
     VanishingAnalysis,
@@ -28,6 +30,7 @@ from astheno.classify import (
     scan,
 )
 from astheno.fixtures import all_tables, table_ids
+from astheno.scalars import A1, A2, B1, B2
 
 # rows that genuinely disagree with the engine, identical under both
 # conventions; every one carries a note in the fixture data
@@ -130,6 +133,18 @@ def test_forbidden_params_filter_candidates():
     assert "a1=0" in unfiltered
 
 
+def test_candidate_relations_read_the_support():
+    # the parameters a residual carries, and nothing it does not
+    labels = [r.label for r in candidate_relations(Form.monomial(Monomial(1, 0, 1, 0), A1 * 4))]
+    assert labels == ["a1=0"]
+    residual = Form.monomial(Monomial(0, 0, 1, 1), A1 * A2 - B1) + Form.monomial(
+        Monomial(1, 1, 0, 0), B2)
+    labels = [r.label for r in candidate_relations(residual)]
+    assert labels == ["a1=0", "b1=0", "a2=0", "b2=0", "a1=a2", "a1=-a2", "b1=b2", "b1=-b2"]
+    assert candidate_relations(Form.from_scalar(3)) == ()
+    assert candidate_relations(Form.zero()) == ()
+
+
 def test_kenmotsu_pair_needs_both_betas_killed():
     pair = pure_pair("kenmotsu", "kenmotsu")
     for geom in (ProductGeometry(1, 1), ProductGeometry(1, 2), ProductGeometry(2, 1)):
@@ -144,9 +159,6 @@ def test_kenmotsu_pair_needs_both_betas_killed():
 def test_tie_relations_lean_on_the_quotient():
     # b1 -> b2 maps the legal cross word a2*b1 onto the reducible a2*b2,
     # so the tie annihilates only when reduction reruns afterwards
-    from astheno.algebra import Form, Monomial
-    from astheno.scalars import A2, B1, B2
-
     residual = Form.monomial(Monomial(1, 1, 1, 0), A2 * B1) + Form.monomial(
         Monomial(1, 1, 0, 1), B1 - B2
     )
@@ -154,6 +166,27 @@ def test_tie_relations_lean_on_the_quotient():
     assert ("b1=b2", True) in with_quotient.singles
     without = analyze_residual(residual, ring_reduce=False)
     assert ("b1=b2", False) in without.singles
+
+
+def test_a_relation_maps_its_scalar_operation():
+    # the relation is checked once per form, then mapped over every coefficient
+    form = Form.monomial(Monomial(1, 1, 1, 0), A2 * B1 - B1 * B1) + Form.monomial(
+        Monomial(0, 0, 0, 2), A1 + 3 * B2)
+    rels = candidate_relations(form)
+    assert len(rels) == 8
+    for rel in rels:
+        if rel.dst is None:
+            expected = form.map_scalars(lambda s: s.substitute({rel.src: 0}))
+        else:
+            expected = form.map_scalars(lambda s: s.identify(rel.src, rel.dst, rel.sign))
+        assert rel.apply(form) == expected, rel.label
+    # and checked even on a form with no coefficient to map
+    for bad, match in ((Relation("a1=2a2", "a1", "a2", 2), "sign must be"),
+                       (Relation("a1=zz", "a1", "zz"), "unknown parameter 'zz'"),
+                       (Relation("zz=0", "zz"), "unknown parameter 'zz'")):
+        for target in (form, Form.zero()):
+            with pytest.raises(ValueError, match=match):
+                bad.apply(target)
 
 
 def test_reproduce_table_statuses():
@@ -320,32 +353,94 @@ _JUDGED_PAIRS = [pure_pair(kind1, kind2) for kind1 in KINDS for kind2 in KINDS] 
 @pytest.mark.parametrize("convention", list(Convention))
 @pytest.mark.parametrize("condition", list(Condition))
 def test_verdicts_match_their_definition(condition, convention, ring_reduce):
-    pins = [(pair.assignment(), pair.forbidden_zero_params()) for pair in _JUDGED_PAIRS]
+    # _verdicts takes zero pins only, on a tensor already reduced
+    zero_pinned = [pair for pair in _JUDGED_PAIRS if not any(pair.assignment().values())]
+    assert len(zero_pinned) == 17
+    pins = [(frozenset(pair.assignment()), pair.forbidden_zero_params()) for pair in zero_pinned]
     for m1 in range(1, 6):
         for m2 in range(1, 6):
             tensor = condition_tensor(condition, ProductGeometry(m1, m2), convention)
-            judged = list(_verdicts(tensor, pins, ring_reduce))
-            for pin, (verdict, analysis) in zip(pins, judged, strict=True):
-                expected = _defined_verdict(tensor, *pin, ring_reduce)
-                assert (verdict, analysis) == expected, (m1, m2, pin)
+            reduced = tensor.reduce() if ring_reduce else tensor
+            judged = list(_verdicts(reduced, pins, ring_reduce))
+            for pair, (verdict, analysis) in zip(zero_pinned, judged, strict=True):
+                expected = _defined_verdict(
+                    tensor, pair.assignment(), pair.forbidden_zero_params(), ring_reduce)
+                assert (verdict, analysis) == expected, (m1, m2, pair)
+
+
+@pytest.mark.parametrize("ring_reduce", [True, False])
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("condition", list(Condition))
+def test_classify_matches_its_definition(condition, convention, ring_reduce):
+    # every pair, the nonzero pins included, which only classify substitutes
+    for m1 in range(1, 6):
+        for m2 in range(1, 6):
+            geom = ProductGeometry(m1, m2)
+            tensor = condition_tensor(condition, geom, convention)
+            for pair in _JUDGED_PAIRS:
+                rep = classify(condition, geom, pair, convention, ring_reduce)
+                expected = _defined_verdict(
+                    tensor, pair.assignment(), pair.forbidden_zero_params(), ring_reduce)
+                assert (rep.verdict, rep.analysis) == expected, (m1, m2, pair)
+
+
+class _Pins(NamedTuple):
+    """Stands in for a StructurePair: the two things classify reads of one."""
+
+    pins: dict
+    forbidden: frozenset
+
+    def assignment(self):
+        return dict(self.pins)
+
+    def forbidden_zero_params(self):
+        return self.forbidden
 
 
 @pytest.mark.parametrize("forbidden", [frozenset(), frozenset({"b2"}), frozenset({"a2"})])
-def test_a_nonzero_pin_that_cancels_terms_is_substituted_first(forbidden):
+def test_a_nonzero_pin_that_cancels_terms_is_substituted_first(monkeypatch, forbidden):
     # a1*b2 - b2 carries a1 and b2 on its own, yet a1 = 1 cancels it, which
     # no zero pin can do: the support alone would call it nonzero
-    from astheno.algebra import Form, Monomial
-    from astheno.scalars import A1, A2, B2
-
     cancelled = Form.monomial(Monomial(0, 0, 1, 1), A1 * B2 - B2)
     survivor = cancelled + Form.monomial(Monomial(0, 0, 2, 0), A2)
+    module = sys.modules[classify.__module__]
+    geom = ProductGeometry(1, 1)
+
+    def judged(tensor, assignment, ring_reduce):
+        monkeypatch.setattr(module, "condition_tensor", lambda *args: tensor)
+        rep = classify(Condition.ASTHENO, geom, _Pins(assignment, forbidden), ring_reduce=ring_reduce)
+        return rep.verdict, rep.analysis
+
     for ring_reduce in (True, False):
-        [judged] = _verdicts(cancelled, [({"a1": 1}, forbidden)], ring_reduce)
-        assert judged == (VERDICT_ZERO, VanishingAnalysis((), ()))
+        assert judged(cancelled, {"a1": 1}, ring_reduce) == (VERDICT_ZERO, VanishingAnalysis((), ()))
         for assignment in ({"a1": 1}, {"a1": 1, "b1": 0}):
-            [judged] = _verdicts(survivor, [(assignment, forbidden)], ring_reduce)
-            assert judged == _defined_verdict(survivor, assignment, forbidden, ring_reduce)
-            assert judged[0] == (VERDICT_NONZERO if forbidden == {"a2"} else VERDICT_CONDITIONAL)
+            verdict = judged(survivor, assignment, ring_reduce)
+            assert verdict == _defined_verdict(survivor, assignment, forbidden, ring_reduce)
+            assert verdict[0] == (VERDICT_NONZERO if forbidden == {"a2"} else VERDICT_CONDITIONAL)
+
+
+def test_classify_substitutes_a_nonzero_pin_once(monkeypatch):
+    real, calls = Form.substitute, []
+
+    def substitute(form, assign):
+        calls.append(dict(assign))
+        return real(form, assign)
+
+    monkeypatch.setattr(Form, "substitute", substitute)
+    # every parameter pinned: no relation to try, so the one substitution
+    # is the whole assignment's
+    pair = _pinned("sasakian", {"alpha": 2}, "kenmotsu", {"beta": Fraction(-1, 3)})
+    rep = classify(Condition.ASTHENO, ProductGeometry(2, 3), pair)
+    assert rep.verdict == VERDICT_NONZERO
+    assert calls == [pair.assignment()]
+    # a pinned pair with relations to try: the later substitutions are the
+    # analysis's own zero pins
+    pair = _pinned("trans-sasakian", {"alpha": 1}, "trans-sasakian", {})
+    calls.clear()
+    rep = classify(Condition.ASTHENO, ProductGeometry(1, 1), pair)
+    assert rep.analysis.singles
+    assert calls[0] == pair.assignment()
+    assert calls[1:] and all(set(c.values()) == {0} and len(c) == 1 for c in calls[1:])
 
 
 def test_scan_builds_residuals_only_where_a_relation_must_be_tried(monkeypatch):
