@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Union
 
-from .scalars import RationalLike, Scalar, _accumulate, _check_pins
+from .scalars import RationalLike, Scalar, _accumulate, _check_pins, _Sparse
 
 ScalarLike = Union[Scalar, int, Fraction]
 
@@ -104,10 +104,10 @@ def _coerce(value: ScalarLike) -> Scalar:
     return Scalar.rational(value)
 
 
-class Form:
+class Form(_Sparse):
     """Canonical element of the algebra: Monomial -> nonzero Scalar."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike] | None = None):
         data: dict[Monomial, Scalar] = {}
@@ -121,18 +121,7 @@ class Form:
                     data[mono] = scalar
         self.terms = data
 
-    @classmethod
-    def _of(cls, terms: dict) -> "Form":
-        """Wrap a dict already in canonical form: Monomial keys, nonzero Scalars."""
-        result = cls.__new__(cls)
-        result.terms = terms
-        return result
-
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Form":
-        return cls()
 
     @classmethod
     def one(cls) -> "Form":
@@ -147,13 +136,6 @@ class Form:
         return cls({mono: coeff})
 
     # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
@@ -174,9 +156,6 @@ class Form:
         if not isinstance(other, Form):
             return NotImplemented
         return self + (-other)
-
-    def __neg__(self) -> "Form":
-        return Form._of({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, scalar: ScalarLike) -> "Form":
         if isinstance(scalar, Form):
@@ -260,11 +239,6 @@ class Form:
     def substitute(self, assign: Mapping[str, RationalLike]) -> "Form":
         _check_pins(assign)  # once, not per coefficient; a zero form checks them too
         return self.map_scalars(lambda s: s._substitute(assign))
-
-    def __repr__(self) -> str:
-        from .exprio import _repr  # call-time import: exprio imports this module
-
-        return _repr("Form", self)
 
 
 ETA1 = Form.monomial(Monomial(1, 0, 0, 0))

@@ -34,6 +34,7 @@ from .fixtures import EQUATION_NAMES, equation_form, table_ids
 from .scalars import A1, A2, B1, B2, Scalar
 
 DEFAULT_SEED = 314159
+DEFAULT_TRIALS = 200
 
 
 @dataclass(frozen=True)
@@ -291,7 +292,7 @@ def _finding_kenmotsu_pair() -> AuditFinding:
     )
 
 
-def run_audit(seed: int = DEFAULT_SEED, trials: int = 200) -> AuditReport:
+def run_audit(seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS) -> AuditReport:
     rng = random.Random(seed)
     checks = [
         _check_d_squared_reduced(rng, trials),

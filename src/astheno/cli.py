@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import MAX_WORK, Form, ProductGeometry, _size
-from .audit import DEFAULT_SEED, run_audit
+from .audit import DEFAULT_SEED, DEFAULT_TRIALS, run_audit
 from .calculus import Condition, Convention, d_c, exterior_d, j_action
 from .classify import (
     KINDS,
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="run the full self-audit: checks fail, findings inform"
     )
     verify.add_argument("--seed", type=_integer, default=DEFAULT_SEED)
-    verify.add_argument("--trials", type=_at_most(MAX_TRIALS), default=200,
+    verify.add_argument("--trials", type=_at_most(MAX_TRIALS), default=DEFAULT_TRIALS,
                         help=f"randomized-check sample size (1..{MAX_TRIALS})")
     _add_format(verify)
     verify.set_defaults(run=cmd_verify)
@@ -538,7 +538,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader closed stdout early (`astheno scan | head -1`); stdout goes to
         # devnull so the interpreter's final flush of what is left stays quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print("error: output pipe closed early", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -326,8 +326,10 @@ def print_latex(form: Form) -> str:
     return _render(_LATEX, form)
 
 
-def _repr(name: str, form: Form) -> str:
-    """``name(<grammar text>)``, the repr of a Form or Scalar; it must not raise."""
+def _repr(value: Form | Scalar) -> str:
+    """``Class(<grammar text>)``, the repr of a Form or Scalar; it must not raise."""
+    name = type(value).__name__
+    form = value if isinstance(value, Form) else Form.from_scalar(value)
     try:
         return f"{name}({print_text(form)})"
     except ValueError:

@@ -75,10 +75,42 @@ def _is_mixed(exps: Exps) -> bool:
     return bool(exps[0] and exps[1]) or bool(exps[2] and exps[3])
 
 
-class Scalar:
-    """Sparse polynomial: 4-tuple of non-negative int exponents -> nonzero coefficient."""
+class _Sparse:
+    """The sparse-map core of Scalar and Form: ``terms`` is a canonical dict of
+    nonzero values, which a subclass's ``__init__`` checks and ``_of`` wraps unchecked."""
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def _of(cls, terms: dict):
+        result = cls.__new__(cls)
+        result.terms = terms
+        return result
+
+    @classmethod
+    def zero(cls):
+        return cls._of({})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __neg__(self):
+        return self._of({key: -value for key, value in self.terms.items()})
+
+    def __repr__(self) -> str:
+        from .exprio import _repr  # call-time import: exprio imports this module
+
+        return _repr(self)
+
+
+class Scalar(_Sparse):
+    """Sparse polynomial: 4-tuple of non-negative int exponents -> nonzero coefficient."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Exps, RationalLike] | None = None):
         data: dict[Exps, RationalLike] = {}
@@ -94,18 +126,7 @@ class Scalar:
                     data[tuple(exps)] = c
         self.terms = data
 
-    @classmethod
-    def _of(cls, terms: dict) -> "Scalar":
-        """Wrap a dict already in canonical form: 4-int tuple keys, nonzero coefficients."""
-        result = cls.__new__(cls)
-        result.terms = terms
-        return result
-
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Scalar":
-        return cls()
 
     @classmethod
     def rational(cls, value: RationalLike) -> "Scalar":
@@ -118,13 +139,6 @@ class Scalar:
         return cls({tuple(exps): 1})
 
     # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
@@ -154,9 +168,6 @@ class Scalar:
         return Scalar._of(out)
 
     __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar._of({exps: -coeff for exps, coeff in self.terms.items()})
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         if not isinstance(other, Scalar) and type(other) not in RATIONAL_TYPES:
@@ -245,12 +256,6 @@ class Scalar:
                     term *= v**e
             total += term
         return total
-
-    def __repr__(self) -> str:
-        from .algebra import Form  # call-time imports: algebra and exprio import this module
-        from .exprio import _repr
-
-        return _repr("Scalar", Form.from_scalar(self))
 
 
 ZERO = Scalar.zero()

@@ -96,6 +96,18 @@ def test_form_times_form_raises():
         ETA1 * ETA2  # wedge is deliberately not spelled *
 
 
+@pytest.mark.parametrize("value", [A1 - 2, Scalar.rational(3), ETA1 - PHI1, Form.from_scalar(A1)])
+def test_sparse_core_keeps_the_receivers_class(value):
+    # a subclass that forgets __slots__ = () gives every coefficient a __dict__
+    assert not hasattr(value, "__dict__")
+    cls = type(value)
+    for made in (cls._of(dict(value.terms)), cls.zero(), -value):
+        assert type(made) is cls
+    assert cls._of(dict(value.terms)) == value
+    assert cls.zero() == cls() and not cls.zero() and cls.zero().is_zero
+    assert -(-value) == value and (value + -value).is_zero
+
+
 @given(forms(max_monos=2, max_pq=2), st.integers(0, 4))
 def test_power_matches_repeated_wedge(x, k):
     expected = Form.one()

@@ -451,6 +451,37 @@ def test_closed_output_pipe_exits_2_without_a_traceback(argv):
     assert done.stderr == b"error: output pipe closed early\n"
 
 
+_REPEATED_CLOSED_PIPES = """
+import json, os, sys
+from astheno.cli import main
+saved, codes, open_fds = os.dup(1), [], []
+for _ in range(5):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    os.dup2(write_end, 1)
+    os.close(write_end)
+    codes.append(main(sys.argv[1:]))
+    open_fds.append(len(os.listdir("/dev/fd")))
+sys.stdout.flush()  # what the closed pipes refused goes to main's devnull
+os.dup2(saved, 1)
+print(json.dumps({"codes": codes, "open_fds": open_fds}))
+"""
+
+
+def test_repeated_closed_output_pipes_leak_no_descriptor():
+    # main in one process, each call's stdout a fresh pipe whose reader is gone
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c", _REPEATED_CLOSED_PIPES, "scan", "--max-m1", "2", "--max-m2", "2"],
+        capture_output=True, env=env, timeout=60, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [2] * 5
+    assert done.stderr == b"error: output pipe closed early\n" * 5
+    assert len(set(result["open_fds"])) == 1, result["open_fds"]
+
+
 def test_verify_trials_above_the_cap_are_usage_errors(capsys):
     start = time.perf_counter()
     code = run_usage_error(capsys, "verify", "--trials", str(MAX_TRIALS + 1))
