@@ -223,8 +223,7 @@ def _finding_wedge_identity() -> AuditFinding:
 
 
 def _finding_table_rows(reports: dict) -> AuditFinding:
-    payload = {}
-    discrepancies = 0
+    payload, sizes, found, bare = {}, [], [], set()  # bare: discrepant rows with no note
     for conv in (Convention.GRADED, Convention.UNGRADED):
         tables = []
         for report in reports[conv]:
@@ -239,6 +238,8 @@ def _finding_table_rows(reports: dict) -> AuditFinding:
                     entry["note"] = row.note
                 if row.status == "discrepancy":
                     entry["diff"] = print_text(row.diff)
+                    if not row.note:
+                        bare.add((report.table_id, row.row))
                 rows.append(entry)
             tables.append(
                 {
@@ -248,12 +249,16 @@ def _finding_table_rows(reports: dict) -> AuditFinding:
                     "discrepancies": list(report.discrepancies),
                 }
             )
-        if conv is Convention.GRADED:
-            discrepancies = sum(len(t["discrepancies"]) for t in tables)
         payload[conv.value] = tables
+        sizes.append(sum(len(t["rows"]) for t in tables))
+        found.append({(t["table"], row) for t in tables for row in t["discrepancies"]})
+    (g, u), (graded, ungraded) = sizes, found
+    count = f"{g}" if g == u else f"{g} graded and {u} ungraded"
+    same = "same" if graded == ungraded else "not the same"
+    noted = f"{len(bare)} not annotated" if bare else "each annotated"
     summary = (
-        f"90 rows reproduced; {discrepancies} carry a genuine discrepancy "
-        "(same set under both conventions), each annotated in the fixture"
+        f"{count} rows reproduced; {len(graded)} carry a genuine discrepancy "
+        f"({same} set under both conventions), {noted} in the fixture"
     )
     return AuditFinding("table-rows", summary, payload)
 

@@ -9,9 +9,8 @@ the four parameters to zero and declare others structurally nonvanishing:
     trans-sasakian  both free
 
 Verdicts never report a vanishing condition that contradicts a structural
-nonzero (a kenmotsu factor cannot have beta = 0), so the conditional search
-is filtered accordingly.  :func:`analyze_residual` is the unfiltered variant
-used by the audit.
+nonzero (a kenmotsu factor cannot have beta = 0): :func:`analyze_residual`
+skips the ``forbidden`` zeros it is given, none when the audit calls it.
 """
 
 from __future__ import annotations

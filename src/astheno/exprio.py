@@ -22,19 +22,18 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, NamedTuple
 
-from .algebra import MAX_WORK, Form, Monomial, _size
+from .algebra import ETA1, ETA2, MAX_WORK, PHI1, PHI2, Form, Monomial, _size
 from .scalars import _UNIT, PARAMS, Scalar, _accumulate
 
 GENERATORS = ("eta1", "eta2", "Phi1", "Phi2")
 
-_GENERATOR_MONOMIALS = {
-    "eta1": Monomial(1, 0, 0, 0),
-    "eta2": Monomial(0, 1, 0, 0),
-    "Phi1": Monomial(0, 0, 1, 0),
-    "Phi2": Monomial(0, 0, 0, 1),
-}
+# every name the grammar reads -> the form it denotes.  These forms are shared,
+# so none may escape parse: _Parser.form copies every summand into new maps
+_SYMBOLS = {name: Form.from_scalar(Scalar.param(name)) for name in PARAMS}
+_SYMBOLS.update(zip(GENERATORS, (ETA1, ETA2, PHI1, PHI2)))
 
 
 class ParseError(ValueError):
@@ -201,13 +200,9 @@ class _Parser:
 
     def symbol(self) -> Form:
         tok = self.advance()
-        name = tok.text
-        if name in PARAMS:
-            base = Form.from_scalar(Scalar.param(name))
-        elif name in GENERATORS:
-            base = Form.monomial(_GENERATOR_MONOMIALS[name])
-        else:
-            raise ParseError(f"unknown identifier {name!r}", tok.line, tok.col)
+        base = _SYMBOLS.get(tok.text)
+        if base is None:
+            raise ParseError(f"unknown identifier {tok.text!r}", tok.line, tok.col)
         if self.peek().kind == "CARET":
             caret = self.advance()
             if self.peek().kind == "MINUS":
@@ -338,35 +333,21 @@ def _repr(value: Form | Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON records
+# JSON records: {"terms": [term]}, where a term holds its word fields, then
+# "coeff", a list of entries; each table lists its fields in written order
+_WORD_FIELDS = {"eta1": 1, "eta2": 1, "phi1": None, "phi2": None}  # -> largest value
+_ENTRY_FIELDS = {**dict.fromkeys(PARAMS, 0), "num": None, "den": 1}  # -> least value
 
 
 def to_record(form: Form) -> dict:
     """Lossless plain-dict encoding, deterministic field and term order."""
-    terms = []
-    for mono in _sorted_monomials(form):
-        scalar = form.terms[mono]
-        coeff = [
-            {
-                "a1": exps[0],
-                "b1": exps[1],
-                "a2": exps[2],
-                "b2": exps[3],
-                "num": scalar.terms[exps].numerator,
-                "den": scalar.terms[exps].denominator,
-            }
-            for exps in sorted(scalar.terms)
-        ]
-        terms.append(
-            {
-                "eta1": mono.e1,
-                "eta2": mono.e2,
-                "phi1": mono.p,
-                "phi2": mono.q,
-                "coeff": coeff,
-            }
-        )
-    return {"terms": terms}
+    return {"terms": [
+        dict(zip(_WORD_FIELDS, mono), coeff=[
+            dict(zip(_ENTRY_FIELDS, (*exps, c.numerator, c.denominator)))
+            for exps, c in sorted(form.terms[mono].terms.items())
+        ])
+        for mono in _sorted_monomials(form)
+    ]}
 
 
 def _show(value) -> str:
@@ -409,13 +390,11 @@ def from_record(record: dict) -> Form:
     out: dict[Monomial, Scalar] = {}
     for i, term in enumerate(terms):
         path = f"$.terms[{i}]"
-        _require_keys(term, {"eta1", "eta2", "phi1", "phi2", "coeff"}, path)
-        mono = Monomial(
-            _require_int(term["eta1"], f"{path}.eta1", maximum=1),
-            _require_int(term["eta2"], f"{path}.eta2", maximum=1),
-            _require_int(term["phi1"], f"{path}.phi1"),
-            _require_int(term["phi2"], f"{path}.phi2"),
-        )
+        _require_keys(term, {*_WORD_FIELDS, "coeff"}, path)
+        mono = Monomial(*[
+            _require_int(term[name], f"{path}.{name}", maximum=top)
+            for name, top in _WORD_FIELDS.items()
+        ])
         if mono in out:
             raise RecordError("duplicate monomial", path)
         coeff_entries = term["coeff"]
@@ -424,16 +403,18 @@ def from_record(record: dict) -> Form:
         scalar_terms: dict = {}
         for j, entry in enumerate(coeff_entries):
             cpath = f"{path}.coeff[{j}]"
-            _require_keys(entry, {"a1", "b1", "a2", "b2", "num", "den"}, cpath)
-            exps = tuple(
-                _require_int(entry[name], f"{cpath}.{name}") for name in PARAMS
+            _require_keys(entry, _ENTRY_FIELDS.keys(), cpath)
+            # lazy, so a duplicate vector or a zero numerator is reported before later fields
+            values = (
+                _require_int(entry[name], f"{cpath}.{name}", least)
+                for name, least in _ENTRY_FIELDS.items()
             )
+            exps = tuple(islice(values, len(PARAMS)))
             if exps in scalar_terms:
                 raise RecordError("duplicate exponent vector", cpath)
-            num = _require_int(entry["num"], f"{cpath}.num", minimum=None)
+            num = next(values)
             if num == 0:
                 raise RecordError("zero coefficient is not stored", f"{cpath}.num")
-            den = _require_int(entry["den"], f"{cpath}.den", minimum=1)
-            scalar_terms[exps] = Fraction(num, den)
+            scalar_terms[exps] = Fraction(num, next(values))
         out[mono] = Scalar(scalar_terms)
     return Form(out)

@@ -55,8 +55,7 @@ def _index(name: str) -> int:
 def _check_pins(assign: Mapping) -> None:
     """The pin policy of substitute and evaluate: known names, exact values."""
     for name, value in assign.items():
-        if name not in PARAMS:  # not _index: this runs for every coefficient substituted
-            raise ValueError(f"unknown parameter {name!r}")
+        _index(name)  # raises on an unknown name
         if type(value) not in RATIONAL_TYPES:
             raise TypeError(f"pin {name} must be int or Fraction, not {type(value)}")
 

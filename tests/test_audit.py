@@ -1,6 +1,11 @@
 """Shape and stability of the self-audit report."""
 
-from astheno.audit import run_audit
+from dataclasses import replace
+
+from astheno.audit import _finding_table_rows, run_audit
+from astheno.calculus import Convention
+from astheno.classify import reproduce_table
+from astheno.fixtures import table_ids
 
 CHECK_NAMES = (
     "d-squared-reduced",
@@ -51,3 +56,31 @@ def test_table_finding_lists_both_conventions():
     for tables in finding.payload.values():
         assert len(tables) == 10
         assert sum(len(t["rows"]) for t in tables) == 90
+
+
+def test_table_finding_summary_follows_the_reports():
+    conventions = (Convention.GRADED, Convention.UNGRADED)
+    reports = {c: tuple(reproduce_table(t, c) for t in table_ids()) for c in conventions}
+    assert _finding_table_rows(reports).summary == (
+        "90 rows reproduced; 19 carry a genuine discrepancy "
+        "(same set under both conventions), each annotated in the fixture"
+    )
+
+    def edited(conv, edit):
+        """reports with the first discrepant row under conv passed through edit"""
+        first = next(r for r in reports[conv] if r.discrepancies)
+        rows = tuple(edit(row) if row.row == first.discrepancies[0] else row for row in first.rows)
+        tables = tuple(replace(r, rows=rows) if r is first else r for r in reports[conv])
+        return {**reports, conv: tables}
+
+    settled = edited(Convention.UNGRADED, lambda row: replace(row, status="exact"))
+    assert _finding_table_rows(settled).summary == (
+        "90 rows reproduced; 19 carry a genuine discrepancy "
+        "(not the same set under both conventions), each annotated in the fixture"
+    )
+    unnoted = edited(Convention.GRADED, lambda row: replace(row, note=None))
+    assert _finding_table_rows(unnoted).summary.endswith(", 1 not annotated in the fixture")
+    first, *rest = reports[Convention.UNGRADED]
+    short = {**reports, Convention.UNGRADED: (replace(first, rows=first.rows[1:]), *rest)}
+    summary = _finding_table_rows(short).summary
+    assert summary.startswith("90 graded and 89 ungraded rows reproduced;")

@@ -314,6 +314,19 @@ def test_from_record_rejects_bad_records(record):
         from_record(record)
 
 
+@pytest.mark.parametrize("text, printed", [("a1", "a1"), ("eta1", "eta1"), ("Phi2^1", "Phi2")])
+def test_parse_results_share_no_state(text, printed):
+    # the parser reads each name from one table of shared forms; emptying a
+    # result in place must not reach the table, a later parse or ETA1
+    first = parse(text)
+    for scalar in first.terms.values():
+        scalar.terms.clear()
+    first.terms.clear()
+    assert print_text(parse(text)) == printed
+    assert parse("eta1").terms is not ETA1.terms
+    assert print_text(ETA1) == "eta1"
+
+
 def test_record_error_reports_path():
     bad = {"terms": [{"eta1": 3, "eta2": 0, "phi1": 0, "phi2": 0, "coeff": []}]}
     with pytest.raises(RecordError) as info:
